@@ -542,6 +542,15 @@ fn match_atom(
                 },
             }
         }
+        // A variable shared by a key position and the cost argument must
+        // match both.
+        if let (Some(Term::Var(v)), Some(cv)) = (atom.cost_arg(has_cost), cost) {
+            if let Some((_, kv)) = bindings.iter().find(|(bv, _)| bv == v) {
+                if !values_equal(kv, cv) {
+                    continue 'keys;
+                }
+            }
+        }
         if let Some(mut m) = cost_match(
             atom,
             has_cost,

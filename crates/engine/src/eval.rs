@@ -14,14 +14,26 @@
 //! the aggregate's conjunct). This is the lattice generalization of
 //! classical semi-naive evaluation and is benchmarked against naive
 //! iteration as an ablation.
+//!
+//! Every firing — naive, semi-naive, greedy or parallel — runs the rule's
+//! slot program (see [`crate::plan`]) on a reused `Frame`: one
+//! `Option<Value>` cell per rule variable, a trail of the slots bound
+//! since the firing began (backtracking truncates it to a mark), and
+//! scratch buffers for probe projections, lookup keys, the head key,
+//! group keys and seed keys. Matching a tuple, seeding a driver and
+//! emitting a head therefore allocate nothing; only a derivation that
+//! survives the demand and PreM filters allocates its `Arc<Tuple>` key.
 
 use crate::aggregate;
 use crate::edb::Edb;
 use crate::error::EvalError;
 use crate::events::{EventSink, InsertOutcome, NoopSink};
-use crate::interp::{Interp, Sig, Tuple};
+use crate::interp::{Interp, Joined, Sig, Tuple};
 use crate::model::Model;
-use crate::plan::{plan_rule, prem_rewrites, Optimize, Plan, Rewrites, Step};
+use crate::plan::{
+    plan_rule, prem_rewrites, Arg, ArgOp, Emit, Optimize, Plan, Probe, Rewrites, Slot, SlotExpr,
+    Slots, Step,
+};
 use crate::provenance::{
     select_witnesses, AggWitness, BodyAtom, Capture, Goal, NoCapture, Provenance,
     ProvenanceTracker, RuleProbe, WhyNotReport,
@@ -30,7 +42,7 @@ use crate::value::{RuntimeDomain, Value};
 use maglog_analysis::{check_program, derivation_cone, key_arity, uniform_binding};
 use maglog_datalog::graph::{components, Component};
 use maglog_datalog::{
-    AggEq, AggFunc, Atom, BinOp, CmpOp, Const, Expr, Literal, Pred, Program, Rule, Term, Var,
+    AggEq, AggFunc, Atom, BinOp, CmpOp, Expr, Literal, Pred, Program, Rule, Term, Var,
 };
 use crate::par::{self, FireTally};
 use crate::trace::{NameRef, Ph, Tracer, MAIN_LANE};
@@ -39,13 +51,30 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{mpsc, Arc, RwLock};
 use std::time::Instant;
 
-/// Per-round dedup of aggregate-driver re-evaluations: one entry per
-/// (rule index, driver discriminator, seed binding).
-type SeenSeeds = HashSet<(usize, u64, Vec<(Var, Value)>)>;
+/// Per-round dedup of aggregate-driver re-evaluations: per (exec slot,
+/// driver discriminator), the seed values seen so far, in the driver's
+/// seed-slot order. A seed is looked up by slice and copied only when new.
+#[derive(Default)]
+struct SeenSeeds {
+    sets: HashMap<(usize, u64), HashSet<Vec<Value>>>,
+}
+
+impl SeenSeeds {
+    /// Record `seed` for the driver; false if it was already seen.
+    fn insert(&mut self, exec: usize, disc: u64, seed: &[Value]) -> bool {
+        let set = self.sets.entry((exec, disc)).or_default();
+        !set.contains(seed) && set.insert(seed.to_vec())
+    }
+}
 
 /// Per-predicate emit-time demand filter: (key position, demanded
 /// constant). Only predicates of the goal's component appear.
 type DemandFilter = HashMap<Pred, (usize, Value)>;
+
+/// One round's changes, batched per predicate: each changed key with the
+/// cost it now holds, so a driver matches its delta tuple without looking
+/// the cost up again.
+type Delta = HashMap<Pred, Vec<(Arc<Tuple>, Option<Value>)>>;
 
 /// The runtime demand restriction derived from a point query
 /// ([`MonotonicEngine::evaluate_goal`] under `--optimize=demand`).
@@ -456,12 +485,17 @@ impl<'p> MonotonicEngine<'p> {
         sink: &mut S,
         cap: &mut C,
     ) -> Result<usize, EvalError> {
-        // Precompute plans.
+        // Precompute each rule's slot programs: the full plan, one seeded
+        // plan per semi-naive driver, and the head's emit recipe.
         let mut execs: Vec<RuleExec> = Vec::new();
         for &ri in rule_indices {
             let rule = &self.program.rules[ri];
+            let slots = Slots::of(rule);
             let plan = plan_rule(self.program, rule, &BTreeSet::new(), None)
                 .map_err(EvalError::Aggregate)?;
+            let seed_of = |vars: BTreeSet<Var>| -> Vec<(Var, Slot)> {
+                vars.into_iter().map(|v| (v, slots.slot(v))).collect()
+            };
             let mut drivers = Vec::new();
             for (li, lit) in rule.body.iter().enumerate() {
                 match lit {
@@ -473,6 +507,9 @@ impl<'p> MonotonicEngine<'p> {
                             pred: a.pred,
                             lit: li,
                             conjunct: None,
+                            disc: li as u64 * 1024 + 1023,
+                            atom: Probe::compile(self.program, &slots, a, &BTreeSet::new()),
+                            seed: seed_of(seed_vars),
                             plan: seeded,
                             relax: None,
                         });
@@ -482,17 +519,43 @@ impl<'p> MonotonicEngine<'p> {
                         // single-conjunct `=r` fold whose result variable is
                         // exactly the head cost argument and occurs nowhere
                         // else in the rule.
-                        let relax_plan = relaxation_plan(self.program, rule, li, agg);
+                        let relax = relaxation_plan(self.program, rule, li, agg).map(|plan| {
+                            let Term::Var(result) = agg.result else {
+                                unreachable!("relaxation requires a variable result")
+                            };
+                            Relax {
+                                plan,
+                                result: slots.slot(result),
+                            }
+                        });
+                        let groupings = rule.aggregate_grouping_vars(li);
                         for (ci, conj) in agg.conjuncts.iter().enumerate() {
                             if cdb.contains(&conj.pred) {
+                                // The seed keeps the grouping variables the
+                                // conjunct binds (plus the result variable
+                                // a relaxation binds to the delta element).
+                                let mut seed_vars: BTreeSet<Var> =
+                                    conj.vars().filter(|v| groupings.contains(v)).collect();
+                                if let Some(relax) = &relax {
+                                    seed_vars.insert(slots.var(relax.result));
+                                }
                                 drivers.push(Driver {
                                     pred: conj.pred,
                                     lit: li,
                                     conjunct: Some(ci),
+                                    disc: li as u64 * 1024
+                                        + if relax.is_some() { 1022 } else { ci as u64 },
+                                    atom: Probe::compile(
+                                        self.program,
+                                        &slots,
+                                        conj,
+                                        &BTreeSet::new(),
+                                    ),
+                                    seed: seed_of(seed_vars),
                                     // Aggregate drivers re-run the default
                                     // plan with grouping vars pre-bound.
                                     plan: plan.clone(),
-                                    relax: relax_plan.clone(),
+                                    relax: relax.clone(),
                                 });
                             }
                         }
@@ -500,7 +563,15 @@ impl<'p> MonotonicEngine<'p> {
                     _ => {}
                 }
             }
-            execs.push(RuleExec { ri, rule, plan, drivers });
+            execs.push(RuleExec {
+                ri,
+                rule,
+                head: Emit::compile(self.program, &slots, rule),
+                slots,
+                demand: demand.and_then(|f| f.get(&rule.head.pred)).cloned(),
+                plan,
+                drivers,
+            });
         }
 
         // Register every plan-selected probe signature on its relation so
@@ -509,11 +580,11 @@ impl<'p> MonotonicEngine<'p> {
         // positions fall back to lazily created indexes for their wider
         // signatures.
         for exec in &execs {
-            let mut wanted: Vec<(Pred, Sig)> = exec.plan.probe_sigs(exec.rule);
+            let mut wanted: Vec<(Pred, Sig)> = exec.plan.probe_sigs();
             for driver in &exec.drivers {
-                wanted.extend(driver.plan.probe_sigs(exec.rule));
+                wanted.extend(driver.plan.probe_sigs());
                 if let Some(relax) = &driver.relax {
-                    wanted.extend(relax.probe_sigs(exec.rule));
+                    wanted.extend(relax.plan.probe_sigs());
                 }
             }
             for (pred, sig) in wanted {
@@ -552,7 +623,6 @@ impl<'p> MonotonicEngine<'p> {
                 cdb,
                 &execs,
                 ci,
-                demand,
                 &mut rule_pushes,
                 &agg_counters,
                 stats,
@@ -577,7 +647,6 @@ impl<'p> MonotonicEngine<'p> {
                 &execs,
                 ci,
                 prune,
-                demand,
                 &mut rule_pushes,
                 &agg_counters,
                 stats,
@@ -588,10 +657,11 @@ impl<'p> MonotonicEngine<'p> {
 
         let mut rounds = 0usize;
         let mut component_pruned = 0u64;
+        let mut frames: Vec<Frame> = execs.iter().map(Frame::for_exec).collect();
         // Per-round delta, batched per predicate: each driver iterates only
         // the changes of its own predicate instead of rescanning the whole
         // round delta per occurrence.
-        let mut delta: HashMap<Pred, Vec<Arc<Tuple>>> = HashMap::new();
+        let mut delta = Delta::new();
         loop {
             if rounds >= self.options.max_rounds {
                 return Err(EvalError::NonTermination {
@@ -609,7 +679,6 @@ impl<'p> MonotonicEngine<'p> {
             let mut derived =
                 RoundBuffer::new(self.program, self.options.check_consistency, &mut rule_pushes);
             derived.prune = prune;
-            derived.demand = demand;
             {
                 let ctx = Ctx {
                     program: self.program,
@@ -624,31 +693,25 @@ impl<'p> MonotonicEngine<'p> {
                             cap.begin_rule(exec.ri);
                         }
                         derived.current = slot;
-                        let mut binding = Binding::new();
-                        exec_steps(
-                            &ctx,
-                            exec.rule,
-                            &exec.plan.steps,
-                            &mut binding,
-                            &mut derived,
-                            cap,
-                        )?;
+                        fire_full(&ctx, exec, &mut frames[slot], &mut derived, cap)?;
                         sink.rule_fire_end(exec.ri);
                     }
                 } else {
-                    let mut seen_seeds = SeenSeeds::new();
+                    let mut seen_seeds = SeenSeeds::default();
                     for (ei, exec) in execs.iter().enumerate() {
                         for driver in &exec.drivers {
                             let Some(changed) = delta.get(&driver.pred) else {
                                 continue;
                             };
-                            for dkey in changed {
+                            for (dkey, dcost) in changed {
                                 self.fire_driver(
                                     &ctx,
                                     ei,
                                     exec,
                                     driver,
                                     dkey,
+                                    dcost,
+                                    &mut frames[ei],
                                     &mut seen_seeds,
                                     &mut derived,
                                     stats,
@@ -713,52 +776,38 @@ impl<'p> MonotonicEngine<'p> {
         execs: &[RuleExec<'_>],
         sink: &mut S,
         cap: &mut C,
-    ) -> HashMap<Pred, Vec<Arc<Tuple>>> {
-        let mut new_delta: HashMap<Pred, Vec<Arc<Tuple>>> = HashMap::new();
+    ) -> Delta {
+        let mut new_delta = Delta::new();
         for ((pred, key), entry) in derived {
             let DerivedEntry { cost, slot, .. } = entry;
-            let domain = self
-                .program
-                .cost_spec(pred)
-                .map(|c| RuntimeDomain::new(c.domain));
-            let rel = db.relation_mut(pred);
-            let outcome = match rel.get(&key) {
-                None => {
-                    // For default-value predicates, an explicit entry at
-                    // the default value is not a change.
-                    let is_default_entry = self.program.has_default(pred)
-                        && domain
-                            .as_ref()
-                            .is_some_and(|d| cost.as_ref() == Some(&d.bottom()));
-                    if C::ENABLED && !is_default_entry {
+            let spec = self.program.cost_spec(pred);
+            let domain = spec.map(|c| RuntimeDomain::new(c.domain));
+            // For default-value predicates, an explicit entry at the
+            // default value is not a change.
+            let is_default_entry = spec.is_some_and(|c| c.has_default)
+                && domain
+                    .as_ref()
+                    .is_some_and(|d| cost.as_ref() == Some(&d.bottom()));
+            let outcome = match db
+                .relation_mut(pred)
+                .join_arc(key.clone(), cost.clone(), domain.as_ref())
+            {
+                Joined::New if is_default_entry => InsertOutcome::Noop,
+                Joined::New => {
+                    if C::ENABLED {
                         cap.commit(pred, &key, &cost, false);
                     }
-                    rel.insert_arc(key.clone(), cost);
-                    if !is_default_entry {
-                        new_delta.entry(pred).or_default().push(key);
-                        InsertOutcome::New
-                    } else {
-                        InsertOutcome::Noop
-                    }
+                    new_delta.entry(pred).or_default().push((key, cost));
+                    InsertOutcome::New
                 }
-                Some(existing) => {
-                    let mut outcome = InsertOutcome::Noop;
-                    if let (Some(old), Some(new), Some(d)) =
-                        (existing.clone(), &cost, &domain)
-                    {
-                        let joined = d.join(&old, new);
-                        if joined != old {
-                            let joined = Some(joined);
-                            if C::ENABLED {
-                                cap.commit(pred, &key, &joined, true);
-                            }
-                            rel.insert_arc(key.clone(), joined);
-                            new_delta.entry(pred).or_default().push(key);
-                            outcome = InsertOutcome::Improved;
-                        }
+                Joined::Improved(joined) => {
+                    if C::ENABLED {
+                        cap.commit(pred, &key, &joined, true);
                     }
-                    outcome
+                    new_delta.entry(pred).or_default().push((key, joined));
+                    InsertOutcome::Improved
                 }
+                Joined::Unchanged => InsertOutcome::Noop,
             };
             sink.insert_outcome(execs[slot].ri, pred, outcome);
         }
@@ -789,7 +838,6 @@ impl<'p> MonotonicEngine<'p> {
         execs: &[RuleExec<'_>],
         ci: usize,
         prune: bool,
-        demand: Option<&DemandFilter>,
         rule_pushes: &mut [u64],
         agg_counters: &AggCounters,
         stats: &mut EvalStats,
@@ -815,7 +863,7 @@ impl<'p> MonotonicEngine<'p> {
                 let wm = meter.clone();
                 s.spawn(move || {
                     self.parallel_worker(
-                        db_ref, execs, w, workers, prune, demand, wt, wm, rx, res_tx,
+                        db_ref, execs, w, workers, prune, wt, wm, rx, res_tx,
                     )
                 });
             }
@@ -823,7 +871,7 @@ impl<'p> MonotonicEngine<'p> {
 
             let mut rounds = 0usize;
             let mut component_pruned = 0u64;
-            let mut delta: Arc<HashMap<Pred, Vec<Arc<Tuple>>>> = Arc::new(HashMap::new());
+            let mut delta: Arc<Delta> = Arc::new(Delta::new());
             loop {
                 if rounds >= self.options.max_rounds {
                     return Err(EvalError::NonTermination {
@@ -1003,12 +1051,12 @@ impl<'p> MonotonicEngine<'p> {
         me: usize,
         workers: usize,
         prune: bool,
-        demand: Option<&DemandFilter>,
         tracer: Option<Tracer>,
         meter: Option<crate::metrics::Meter>,
         jobs: mpsc::Receiver<ParJob>,
         results: mpsc::Sender<WorkerRound>,
     ) {
+        let mut frames: Vec<Frame> = execs.iter().map(Frame::for_exec).collect();
         while let Ok(job) = jobs.recv() {
             let fire_start = tracer.as_ref().map(|t| t.now());
             let meter_start = meter.as_ref().map(|m| m.now_nanos());
@@ -1032,7 +1080,6 @@ impl<'p> MonotonicEngine<'p> {
                     &mut pushes,
                 );
                 derived.prune = prune;
-                derived.demand = demand;
                 let fired: Result<(), EvalError> = if job.full {
                     // Full rounds have no seeds to shard: round-robin the
                     // exec slots instead.
@@ -1044,12 +1091,10 @@ impl<'p> MonotonicEngine<'p> {
                             wstats.firings += 1;
                             tally.rule_fire_start(exec.ri);
                             derived.current = slot;
-                            let mut binding = Binding::new();
-                            let fired = exec_steps(
+                            let fired = fire_full(
                                 &ctx,
-                                exec.rule,
-                                &exec.plan.steps,
-                                &mut binding,
+                                exec,
+                                &mut frames[slot],
                                 &mut derived,
                                 &mut NoCapture,
                             );
@@ -1057,20 +1102,22 @@ impl<'p> MonotonicEngine<'p> {
                             fired
                         })
                 } else {
-                    let mut seen_seeds = SeenSeeds::new();
+                    let mut seen_seeds = SeenSeeds::default();
                     let mut walk = || -> Result<(), EvalError> {
                         for (ei, exec) in execs.iter().enumerate() {
                             for driver in &exec.drivers {
                                 let Some(changed) = job.delta.get(&driver.pred) else {
                                     continue;
                                 };
-                                for dkey in changed {
+                                for (dkey, dcost) in changed {
                                     self.fire_driver(
                                         &ctx,
                                         ei,
                                         exec,
                                         driver,
                                         dkey,
+                                        dcost,
+                                        &mut frames[ei],
                                         &mut seen_seeds,
                                         &mut derived,
                                         &mut wstats,
@@ -1142,7 +1189,6 @@ impl<'p> MonotonicEngine<'p> {
         cdb: &BTreeSet<Pred>,
         execs: &[RuleExec],
         ci: usize,
-        demand: Option<&DemandFilter>,
         rule_pushes: &mut [u64],
         agg_counters: &AggCounters,
         stats: &mut EvalStats,
@@ -1169,6 +1215,7 @@ impl<'p> MonotonicEngine<'p> {
             }
         }
 
+        let mut frames: Vec<Frame> = execs.iter().map(Frame::for_exec).collect();
         // Initial full pass over the (LDB-only) database.
         {
             let ctx = Ctx {
@@ -1177,13 +1224,11 @@ impl<'p> MonotonicEngine<'p> {
                 agg: agg_counters,
             };
             let mut derived = RoundBuffer::new(self.program, false, rule_pushes);
-            derived.demand = demand;
             for (slot, exec) in execs.iter().enumerate() {
                 stats.firings += 1;
                 sink.rule_fire_start(exec.ri);
                 derived.current = slot;
-                let mut binding = Binding::new();
-                exec_steps(&ctx, exec.rule, &exec.plan.steps, &mut binding, &mut derived, cap)?;
+                fire_full(&ctx, exec, &mut frames[slot], &mut derived, cap)?;
                 sink.rule_fire_end(exec.ri);
             }
             stats.derivations += derived.map.len() as u64;
@@ -1224,19 +1269,18 @@ impl<'p> MonotonicEngine<'p> {
             sink.round_start(pops, false);
             sink.greedy_settle(pred, &key, cost.get());
             frontier = cost;
-            db.relation_mut(pred)
-                .insert_arc(key.clone(), Some(Value::Num(cost)));
+            let settled = Some(Value::Num(cost));
+            db.relation_mut(pred).insert_arc(key.clone(), settled.clone());
 
             // Fire the semi-naive drivers for this single settled atom.
             let mut derived = RoundBuffer::new(self.program, false, rule_pushes);
-            derived.demand = demand;
             {
                 let ctx = Ctx {
                     program: self.program,
                     db,
                     agg: agg_counters,
                 };
-                let mut seen_seeds = SeenSeeds::new();
+                let mut seen_seeds = SeenSeeds::default();
                 for (ei, exec) in execs.iter().enumerate() {
                     for driver in &exec.drivers {
                         if driver.pred != pred {
@@ -1248,6 +1292,8 @@ impl<'p> MonotonicEngine<'p> {
                             exec,
                             driver,
                             &key,
+                            &settled,
+                            &mut frames[ei],
                             &mut seen_seeds,
                             &mut derived,
                             stats,
@@ -1324,10 +1370,11 @@ impl<'p> MonotonicEngine<'p> {
         Ok(pops)
     }
 
-    /// Fire one semi-naive driver for one delta tuple. `shard` is the
-    /// parallel evaluator's `(worker, workers)` filter: seeds hashing
-    /// outside the worker's shard are skipped *before* dedup, so each
-    /// seed fires on exactly one worker and worker-local dedup is global.
+    /// Fire one semi-naive driver for one delta tuple on the exec's
+    /// `frame`. `shard` is the parallel evaluator's `(worker, workers)`
+    /// filter: seeds hashing outside the worker's shard are skipped
+    /// *before* dedup, so each seed fires on exactly one worker and
+    /// worker-local dedup is global.
     #[allow(clippy::too_many_arguments)]
     fn fire_driver<S: EventSink, C: Capture>(
         &self,
@@ -1336,6 +1383,8 @@ impl<'p> MonotonicEngine<'p> {
         exec: &RuleExec<'_>,
         driver: &Driver,
         delta_key: &Tuple,
+        cost: &Option<Value>,
+        frame: &mut Frame,
         seen_seeds: &mut SeenSeeds,
         derived: &mut RoundBuffer<'_>,
         stats: &mut EvalStats,
@@ -1345,59 +1394,57 @@ impl<'p> MonotonicEngine<'p> {
     ) -> Result<(), EvalError> {
         let rule = exec.rule;
         // Match the driver atom against the delta tuple to get a seed.
-        let atom = match (&rule.body[driver.lit], driver.conjunct) {
-            (Literal::Pos(a), None) => a,
-            (Literal::Agg(agg), Some(ci)) => &agg.conjuncts[ci],
-            _ => return Ok(()),
-        };
-        let cost = ctx
-            .db
-            .cost(ctx.program, driver.pred, delta_key)
-            .unwrap_or(None);
-        let mut binding = Binding::new();
-        if !match_atom_against(ctx.program, atom, delta_key, &cost, &mut binding) {
+        frame.reset();
+        if !(match_keys(frame, &driver.atom, delta_key, 0) && match_cost(frame, &driver.atom, cost))
+        {
             return Ok(());
         }
-        // Join-fold relaxation: bind the result variable to the delta
-        // element and skip the aggregate entirely.
-        if let (Some(relax), Some(_)) = (&driver.relax, driver.conjunct) {
-            let rule_agg = match &rule.body[driver.lit] {
-                Literal::Agg(a) => a,
-                _ => unreachable!("relax driver on non-aggregate"),
-            };
-            let Term::Var(result) = rule_agg.result else {
-                unreachable!("relaxation requires a variable result")
-            };
+        if let Some(relax) = &driver.relax {
+            // Join-fold relaxation: bind the result variable to the delta
+            // element and skip the aggregate entirely.
             let Some(element) = cost.clone() else {
                 return Ok(());
             };
-            let groupings: BTreeSet<Var> = rule
-                .aggregate_grouping_vars(driver.lit)
-                .into_iter()
-                .collect();
-            let mut seed: HashMap<Var, Value> = binding
-                .map
+            frame.retain(&driver.seed);
+            frame.bind(relax.result, element);
+        } else if driver.conjunct.is_some() {
+            // For aggregate drivers, keep only the grouping variables: the
+            // aggregate recomputes its group in full.
+            frame.retain(&driver.seed);
+        }
+        let disc = driver.disc;
+        if let Some((me, workers)) = shard {
+            let seed = driver
+                .seed
                 .iter()
-                .filter(|(v, _)| groupings.contains(v))
-                .map(|(v, val)| (*v, val.clone()))
-                .collect();
-            seed.insert(result, element);
-            let mut seed_vec: Vec<(Var, Value)> =
-                seed.iter().map(|(v, val)| (*v, val.clone())).collect();
-            seed_vec.sort_by_key(|(v, _)| *v);
-            let disc = driver.lit as u64 * 1024 + 1022;
-            if let Some((me, workers)) = shard {
-                if par::shard_of(exec_index, disc, &seed_vec, workers) != me {
-                    return Ok(());
-                }
-            }
-            if !seen_seeds.insert((exec_index, disc, seed_vec)) {
+                .map(|&(v, s)| (v, frame.get(s).expect("seed slot bound")));
+            if par::shard_of(exec_index, disc, seed, workers) != me {
                 return Ok(());
             }
-            stats.firings += 1;
-            sink.rule_fire_start(exec.ri);
-            if C::ENABLED {
-                cap.begin_rule(exec.ri);
+        }
+        // A positive driver's seed is a function of its delta tuple, and a
+        // round's delta lists each tuple once, so only aggregate drivers —
+        // whose groups many delta tuples share — can repeat a seed.
+        if driver.conjunct.is_some() {
+            let Frame { vals, seed, .. } = &mut *frame;
+            seed.clear();
+            seed.extend(
+                driver
+                    .seed
+                    .iter()
+                    .map(|&(_, s)| vals[s].clone().expect("seed slot bound")),
+            );
+            if !seen_seeds.insert(exec_index, disc, seed) {
+                return Ok(());
+            }
+        }
+        stats.firings += 1;
+        sink.rule_fire_start(exec.ri);
+        if C::ENABLED {
+            cap.begin_rule(exec.ri);
+            if let Some(Literal::Agg(rule_agg)) =
+                driver.relax.as_ref().map(|_| &rule.body[driver.lit])
+            {
                 // The relaxed derivation's aggregate witness is the delta
                 // element itself: the group was not rescanned, the lattice
                 // join resolves the rest (marked `partial`).
@@ -1418,66 +1465,33 @@ impl<'p> MonotonicEngine<'p> {
                     witnesses_total: 1,
                     partial: true,
                 });
-            }
-            derived.current = exec_index;
-            let mut b: Binding = seed.into();
-            derived.joining = true;
-            let r = exec_steps(ctx, rule, &relax.steps, &mut b, derived, cap);
-            derived.joining = false;
-            if C::ENABLED {
-                cap.pop_agg();
-            }
-            sink.rule_fire_end(exec.ri);
-            return r;
-        }
-
-        // For aggregate drivers, keep only the grouping variables: the
-        // aggregate recomputes its group in full.
-        let seed: Binding = if driver.conjunct.is_some() {
-            let groupings: BTreeSet<Var> =
-                rule.aggregate_grouping_vars(driver.lit).into_iter().collect();
-            binding
-                .map
-                .iter()
-                .filter(|(v, _)| groupings.contains(v))
-                .map(|(v, val)| (*v, val.clone()))
-                .collect::<HashMap<_, _>>()
-                .into()
-        } else {
-            binding
-        };
-        let mut seed_vec: Vec<(Var, Value)> = seed
-            .map
-            .iter()
-            .map(|(v, val)| (*v, val.clone()))
-            .collect();
-        seed_vec.sort_by_key(|(v, _)| *v);
-        let disc = driver.lit as u64 * 1024 + driver.conjunct.unwrap_or(1023) as u64;
-        if let Some((me, workers)) = shard {
-            if par::shard_of(exec_index, disc, &seed_vec, workers) != me {
-                return Ok(());
-            }
-        }
-        if !seen_seeds.insert((exec_index, disc, seed_vec)) {
-            return Ok(());
-        }
-        stats.firings += 1;
-        sink.rule_fire_start(exec.ri);
-        if C::ENABLED {
-            cap.begin_rule(exec.ri);
-            // A positive-atom driver's seeded plan skips re-matching the
-            // delta atom, so put it on the trail by hand. (Aggregate
-            // drivers re-run the full plan: their trail is complete.)
-            if driver.conjunct.is_none() {
-                cap.push_atom(driver.pred, delta_key, &cost);
+            } else if driver.conjunct.is_none() {
+                // A positive-atom driver's seeded plan skips re-matching
+                // the delta atom, so put it on the trail by hand.
+                // (Aggregate drivers re-run the full plan: their trail is
+                // complete.)
+                cap.push_atom(driver.pred, delta_key, cost);
             }
         }
         derived.current = exec_index;
-        let mut b = seed;
-        let r = exec_steps(ctx, rule, &driver.plan.steps, &mut b, derived, cap);
-        if C::ENABLED && driver.conjunct.is_none() {
-            cap.pop_atom();
-        }
+        let r = match &driver.relax {
+            Some(relax) => {
+                derived.joining = true;
+                let r = exec_steps(ctx, exec, &relax.plan.steps, frame, derived, cap);
+                derived.joining = false;
+                if C::ENABLED {
+                    cap.pop_agg();
+                }
+                r
+            }
+            None => {
+                let r = exec_steps(ctx, exec, &driver.plan.steps, frame, derived, cap);
+                if C::ENABLED && driver.conjunct.is_none() {
+                    cap.pop_atom();
+                }
+                r
+            }
+        };
         sink.rule_fire_end(exec.ri);
         r
     }
@@ -1488,7 +1502,7 @@ impl<'p> MonotonicEngine<'p> {
 struct ParJob {
     round: usize,
     full: bool,
-    delta: Arc<HashMap<Pred, Vec<Arc<Tuple>>>>,
+    delta: Arc<Delta>,
 }
 
 /// One worker's contribution to a round barrier: its shard's round
@@ -1642,6 +1656,13 @@ struct RuleExec<'p> {
     /// Index of the rule in `program.rules` (event attribution).
     ri: usize,
     rule: &'p Rule,
+    /// The rule's slot numbering, shared by every plan below.
+    slots: Slots,
+    head: Emit,
+    /// Demand filter (`--optimize=demand`) on the head: discard
+    /// derivations not carrying the demanded constant at this key
+    /// position.
+    demand: Option<(usize, Value)>,
     plan: Plan,
     drivers: Vec<Driver>,
 }
@@ -1650,14 +1671,33 @@ struct Driver {
     pred: Pred,
     lit: usize,
     conjunct: Option<usize>,
+    /// Distinguishes the exec's drivers in seed dedup and sharding.
+    disc: u64,
+    /// The driver atom compiled with nothing bound: matching a delta
+    /// tuple binds every variable it holds.
+    atom: Probe,
+    /// The seed a firing keeps after that match, as `(variable, slot)` in
+    /// ascending order: every variable of a positive driver's atom; the
+    /// grouping variables an aggregate driver's conjunct binds, plus the
+    /// result variable under relaxation. Dedup and sharding key on it.
+    seed: Vec<(Var, Slot)>,
     plan: Plan,
-    /// Join-fold relaxation: when the aggregate is a pure lattice fold
-    /// (`=r min/max/or/and/union/intersect` matching the domain) whose
-    /// result variable flows straight into the head cost argument, a
-    /// changed element can be *relaxed* into the head directly — the
-    /// accumulated lattice join over all relaxations equals the aggregate
-    /// of the full group, at O(1) per delta instead of a group rescan.
-    relax: Option<Plan>,
+    relax: Option<Relax>,
+}
+
+/// Join-fold relaxation: when the aggregate is a pure lattice fold
+/// (`=r min/max/or/and/union/intersect` matching the domain) whose result
+/// variable flows straight into the head cost argument, a changed element
+/// can be *relaxed* into the head directly — the accumulated lattice join
+/// over all relaxations equals the aggregate of the full group, at O(1)
+/// per delta instead of a group rescan.
+#[derive(Clone)]
+struct Relax {
+    /// The rule planned with the groupings and the result pre-bound and
+    /// the aggregate skipped.
+    plan: Plan,
+    /// The result variable's slot, bound to the delta element.
+    result: Slot,
 }
 
 /// Is `func` the lattice join-fold of `domain` (so that
@@ -1698,33 +1738,158 @@ struct Ctx<'a> {
     agg: &'a AggCounters,
 }
 
-/// A variable binding environment.
-#[derive(Clone, Debug, Default)]
-struct Binding {
-    map: HashMap<Var, Value>,
+/// A firing's variable frame: one cell per rule slot, the trail of slots
+/// bound since the firing began, and scratch buffers reused by every
+/// firing of the rule, so matching, seeding and emitting allocate nothing.
+#[derive(Debug)]
+struct Frame {
+    vals: Vec<Option<Value>>,
+    /// Slots bound since the firing began, in binding order; undo
+    /// truncates it back to a mark.
+    trail: Vec<Slot>,
+    /// Probe projection: the values of the runtime signature's positions.
+    proj: Vec<Value>,
+    /// Fully bound lookup keys, one scratch tuple per arity.
+    lookups: Vec<Tuple>,
+    /// The head key under construction.
+    head: Tuple,
+    /// Aggregate group key.
+    group: Vec<Value>,
+    /// Driver seed dedup key.
+    seed: Vec<Value>,
 }
 
-impl Binding {
-    fn new() -> Self {
-        Self::default()
+/// A scratch tuple of `arity` placeholder values.
+fn blank_tuple(arity: usize) -> Tuple {
+    Tuple::new(vec![Value::Bool(false); arity])
+}
+
+impl Frame {
+    fn new(slots: usize, head_arity: usize) -> Frame {
+        Frame {
+            vals: vec![None; slots],
+            trail: Vec::new(),
+            proj: Vec::new(),
+            lookups: Vec::new(),
+            head: blank_tuple(head_arity),
+            group: Vec::new(),
+            seed: Vec::new(),
+        }
     }
 
-    fn get(&self, v: Var) -> Option<&Value> {
-        self.map.get(&v)
+    fn for_exec(exec: &RuleExec<'_>) -> Frame {
+        Frame::new(exec.slots.len(), exec.head.keys.len())
     }
 
-    fn bind(&mut self, v: Var, val: Value) {
-        self.map.insert(v, val);
+    fn get(&self, s: Slot) -> Option<&Value> {
+        self.vals[s].as_ref()
     }
 
-    fn unbind(&mut self, v: Var) {
-        self.map.remove(&v);
+    fn bind(&mut self, s: Slot, v: Value) {
+        self.vals[s] = Some(v);
+        self.trail.push(s);
+    }
+
+    fn mark(&self) -> usize {
+        self.trail.len()
+    }
+
+    /// Unbind every slot bound since `mark`.
+    fn undo(&mut self, mark: usize) {
+        for s in self.trail.drain(mark..) {
+            self.vals[s] = None;
+        }
+    }
+
+    /// Unbind everything (a firing starts on an empty frame).
+    fn reset(&mut self) {
+        self.undo(0);
+    }
+
+    /// Unbind every bound slot not listed in `keep`.
+    fn retain(&mut self, keep: &[(Var, Slot)]) {
+        let vals = &mut self.vals;
+        self.trail.retain(|&s| {
+            let kept = keep.iter().any(|&(_, k)| k == s);
+            if !kept {
+                vals[s] = None;
+            }
+            kept
+        });
+    }
+
+    /// Fill the lookup tuple of `keys`' arity from the frame; false if a
+    /// position is unbound.
+    fn fill_lookup(&mut self, keys: &[ArgOp]) -> bool {
+        let n = keys.len();
+        if self.lookups.len() <= n {
+            self.lookups.resize_with(n + 1, || Tuple::new(Vec::new()));
+        }
+        if self.lookups[n].arity() != n {
+            self.lookups[n] = blank_tuple(n);
+        }
+        let Frame { vals, lookups, .. } = self;
+        for (cell, op) in lookups[n].0.iter_mut().zip(keys) {
+            let Some(v) = op_value(vals, op) else {
+                return false;
+            };
+            *cell = v.clone();
+        }
+        true
     }
 }
 
-impl From<HashMap<Var, Value>> for Binding {
-    fn from(map: HashMap<Var, Value>) -> Self {
-        Binding { map }
+/// The value an argument op stands for right now: its constant, or its
+/// slot's binding.
+fn op_value<'a>(vals: &'a [Option<Value>], op: &'a ArgOp) -> Option<&'a Value> {
+    match op {
+        ArgOp::Const(c) => Some(c),
+        ArgOp::Bound(s) | ArgOp::Bind(s) | ArgOp::Repeat(s) => vals[*s].as_ref(),
+    }
+}
+
+fn arg_value<'a>(vals: &'a [Option<Value>], arg: &'a Arg) -> Option<&'a Value> {
+    match arg {
+        Arg::Const(c) => Some(c),
+        Arg::Slot(s) => vals[*s].as_ref(),
+    }
+}
+
+/// Meet slot `s` with `v`: compare under `eq` if bound, bind otherwise.
+fn unify_slot(frame: &mut Frame, s: Slot, v: &Value, eq: fn(&Value, &Value) -> bool) -> bool {
+    match frame.get(s) {
+        Some(bound) => eq(bound, v),
+        None => {
+            frame.bind(s, v.clone());
+            true
+        }
+    }
+}
+
+fn unify(frame: &mut Frame, op: &ArgOp, v: &Value, eq: fn(&Value, &Value) -> bool) -> bool {
+    match op {
+        ArgOp::Const(c) => eq(c, v),
+        ArgOp::Bound(s) | ArgOp::Bind(s) | ArgOp::Repeat(s) => unify_slot(frame, *s, v, eq),
+    }
+}
+
+/// Match `key` against `probe`'s key ops, skipping the positions in
+/// `known` (guaranteed equal by the index probe that produced `key`).
+/// Binds free slots on the trail; the caller undoes to its mark.
+fn match_keys(frame: &mut Frame, probe: &Probe, key: &Tuple, known: Sig) -> bool {
+    key.arity() == probe.keys.len()
+        && probe.keys.iter().enumerate().all(|(i, op)| {
+            (i < 32 && known & (1 << i) != 0) || unify(frame, op, &key[i], Value::eq)
+        })
+}
+
+/// Match a stored cost against `probe`'s cost op; always true for
+/// predicates without a cost.
+fn match_cost(frame: &mut Frame, probe: &Probe, cost: &Option<Value>) -> bool {
+    match (&probe.cost, cost) {
+        (None, _) => true,
+        (Some(op), Some(cv)) => unify(frame, op, cv, values_equal),
+        (Some(_), None) => false,
     }
 }
 
@@ -1750,10 +1915,6 @@ struct RoundBuffer<'a> {
     /// value, which is why the rewrite additionally requires the program
     /// to be certified conflict-free.
     prune: bool,
-    /// Demand filter (`--optimize=demand`): discard derivations not
-    /// carrying the demanded constant at their predicate's stable
-    /// position.
-    demand: Option<&'a DemandFilter>,
     /// Derivations discarded by either filter.
     pruned: u64,
     /// Per-exec-slot head-derivation counts (component lifetime).
@@ -1784,7 +1945,6 @@ impl<'a> RoundBuffer<'a> {
             joining: false,
             current: 0,
             prune: false,
-            demand: None,
             pruned: 0,
             pushes,
             map: HashMap::new(),
@@ -1854,155 +2014,126 @@ fn render_key(program: &Program, key: &Tuple) -> String {
         .join(", ")
 }
 
-/// Execute the remaining plan steps under `binding`, emitting head
-/// derivations into `out`. `cap` observes matched body tuples and
-/// aggregate witnesses; with [`NoCapture`] every hook compiles away.
+/// One full (unseeded) firing of `exec` on its frame.
+fn fire_full<C: Capture>(
+    ctx: &Ctx<'_>,
+    exec: &RuleExec<'_>,
+    frame: &mut Frame,
+    out: &mut RoundBuffer<'_>,
+    cap: &mut C,
+) -> Result<(), EvalError> {
+    frame.reset();
+    exec_steps(ctx, exec, &exec.plan.steps, frame, out, cap)
+}
+
+/// Execute the remaining plan steps on `frame`, emitting head derivations
+/// into `out`. `cap` observes matched body tuples and aggregate
+/// witnesses; with [`NoCapture`] every hook compiles away.
 fn exec_steps<C: Capture>(
     ctx: &Ctx<'_>,
-    rule: &Rule,
+    exec: &RuleExec<'_>,
     steps: &[Step],
-    binding: &mut Binding,
+    frame: &mut Frame,
     out: &mut RoundBuffer<'_>,
     cap: &mut C,
 ) -> Result<(), EvalError> {
     let Some((step, rest)) = steps.split_first() else {
-        return emit_head(ctx, rule, binding, out, cap);
+        return emit_head(ctx, exec, frame, out, cap);
     };
     match step {
-        Step::Atom { lit, .. } => {
-            let Literal::Pos(atom) = &rule.body[*lit] else {
-                unreachable!("Atom step on non-positive literal")
-            };
-            for_each_match(ctx, atom, binding, &mut |b, key, cost| {
-                if C::ENABLED {
-                    cap.push_atom(atom.pred, key, cost);
-                }
-                let r = exec_steps(ctx, rule, rest, b, out, cap);
-                if C::ENABLED {
-                    cap.pop_atom();
-                }
-                r
-            })
-        }
-        Step::Assign {
-            lit,
-            target,
-            target_is_lhs,
-        } => {
-            let Literal::Builtin(b) = &rule.body[*lit] else {
-                unreachable!("Assign step on non-builtin")
-            };
-            let source = if *target_is_lhs { &b.rhs } else { &b.lhs };
-            let Some(value) = eval_expr(source, binding) else {
+        Step::Atom { probe, .. } => for_each_match(ctx, probe, frame, &mut |frame, key, cost| {
+            if C::ENABLED {
+                cap.push_atom(probe.pred, key, cost);
+            }
+            let r = exec_steps(ctx, exec, rest, frame, out, cap);
+            if C::ENABLED {
+                cap.pop_atom();
+            }
+            r
+        }),
+        Step::Assign { target, source, .. } => {
+            let Some(value) = eval_expr(source, frame) else {
                 return Ok(()); // type mismatch: unsatisfiable
             };
-            match binding.get(*target) {
-                Some(existing) => {
-                    if values_equal(existing, &value) {
-                        exec_steps(ctx, rule, rest, binding, out, cap)
-                    } else {
-                        Ok(())
-                    }
-                }
+            match frame
+                .get(*target)
+                .map(|existing| values_equal(existing, &value))
+            {
+                Some(true) => exec_steps(ctx, exec, rest, frame, out, cap),
+                Some(false) => Ok(()),
                 None => {
-                    binding.bind(*target, value);
-                    let r = exec_steps(ctx, rule, rest, binding, out, cap);
-                    binding.unbind(*target);
+                    let mark = frame.mark();
+                    frame.bind(*target, value);
+                    let r = exec_steps(ctx, exec, rest, frame, out, cap);
+                    frame.undo(mark);
                     r
                 }
             }
         }
-        Step::Test { lit } => {
-            let Literal::Builtin(b) = &rule.body[*lit] else {
-                unreachable!("Test step on non-builtin")
-            };
-            let (Some(l), Some(r)) = (eval_expr(&b.lhs, binding), eval_expr(&b.rhs, binding))
-            else {
+        Step::Test { op, lhs, rhs, .. } => {
+            let (Some(l), Some(r)) = (eval_expr(lhs, frame), eval_expr(rhs, frame)) else {
                 return Ok(());
             };
-            if compare_values(b.op, &l, &r) {
-                exec_steps(ctx, rule, rest, binding, out, cap)
+            if compare_values(*op, &l, &r) {
+                exec_steps(ctx, exec, rest, frame, out, cap)
             } else {
                 Ok(())
             }
         }
-        Step::Neg { lit } => {
-            let Literal::Neg(atom) = &rule.body[*lit] else {
-                unreachable!("Neg step on non-negative literal")
-            };
-            if atom_holds(ctx, atom, binding) {
+        Step::Neg { probe, .. } => {
+            if atom_holds(ctx, probe, frame) {
                 Ok(())
             } else {
-                exec_steps(ctx, rule, rest, binding, out, cap)
+                exec_steps(ctx, exec, rest, frame, out, cap)
             }
         }
-        Step::Agg {
-            lit,
-            conjunct_order,
-            ..
-        } => {
-            let Literal::Agg(agg) = &rule.body[*lit] else {
-                unreachable!("Agg step on non-aggregate")
-            };
-            eval_aggregate(
-                ctx,
-                rule,
-                *lit,
-                agg,
-                conjunct_order,
-                binding,
-                cap,
-                &mut |b, cap| exec_steps(ctx, rule, rest, b, out, cap),
-            )
-        }
+        Step::Agg { .. } => eval_aggregate(ctx, exec.rule, step, frame, cap, &mut |frame, cap| {
+            exec_steps(ctx, exec, rest, frame, out, cap)
+        }),
     }
 }
 
+/// Assemble the head in the frame's scratch key, then apply the demand
+/// filter and the PreM dominance check to it. Only a derivation that
+/// survives both allocates its shared key.
 fn emit_head<C: Capture>(
     ctx: &Ctx<'_>,
-    rule: &Rule,
-    binding: &Binding,
+    exec: &RuleExec<'_>,
+    frame: &mut Frame,
     out: &mut RoundBuffer<'_>,
     cap: &mut C,
 ) -> Result<(), EvalError> {
-    let spec = ctx.program.cost_spec(rule.head.pred);
-    let has_cost = spec.is_some();
-    let mut key = Vec::with_capacity(rule.head.args.len());
-    for t in rule.head.key_args(has_cost) {
-        key.push(resolve_term(t, binding).ok_or_else(|| {
-            EvalError::Aggregate(format!(
-                "unbound head variable in {}",
-                ctx.program.display_rule(rule)
-            ))
-        })?);
-    }
-    let cost = match (spec, rule.head.cost_arg(has_cost)) {
-        (Some(spec), Some(t)) => {
-            let raw = resolve_term(t, binding).ok_or_else(|| {
-                EvalError::Aggregate(format!(
-                    "unbound head cost variable in {}",
-                    ctx.program.display_rule(rule)
-                ))
-            })?;
-            let domain = RuntimeDomain::new(spec.domain);
-            Some(domain.coerce(raw).map_err(EvalError::Domain)?)
-        }
-        _ => None,
+    let head = &exec.head;
+    let unbound = |what: &str| {
+        EvalError::Aggregate(format!(
+            "unbound head {what} in {}",
+            ctx.program.display_rule(exec.rule)
+        ))
     };
-    let key = Arc::new(Tuple::new(key));
-    if let Some(filter) = out.demand {
-        if let Some((pos, want)) = filter.get(&rule.head.pred) {
-            if !key.0.get(*pos).is_some_and(|v| values_equal(v, want)) {
-                out.pruned += 1;
-                return Ok(());
-            }
+    let Frame {
+        vals, head: key, ..
+    } = &mut *frame;
+    for (cell, arg) in key.0.iter_mut().zip(&head.keys) {
+        *cell = arg_value(vals, arg)
+            .ok_or_else(|| unbound("variable"))?
+            .clone();
+    }
+    let cost = match &head.cost {
+        Some((arg, domain)) => {
+            let raw = arg_value(vals, arg).ok_or_else(|| unbound("cost variable"))?;
+            Some(domain.coerce(raw.clone()).map_err(EvalError::Domain)?)
+        }
+        None => None,
+    };
+    if let Some((pos, want)) = &exec.demand {
+        if !key.0.get(*pos).is_some_and(|v| values_equal(v, want)) {
+            out.pruned += 1;
+            return Ok(());
         }
     }
     if out.prune {
-        if let (Some(new), Some(spec)) = (&cost, spec) {
-            if let Some(Some(old)) = ctx.db.relation(rule.head.pred).and_then(|rel| rel.get(&key))
-            {
-                let domain = RuntimeDomain::new(spec.domain);
+        if let (Some(new), Some((_, domain))) = (&cost, &head.cost) {
+            if let Some(Some(old)) = ctx.db.relation(head.pred).and_then(|rel| rel.get(key)) {
                 if &domain.join(old, new) == old {
                     out.pruned += 1;
                     return Ok(());
@@ -2010,73 +2141,78 @@ fn emit_head<C: Capture>(
             }
         }
     }
+    let key = Arc::new(key.clone());
     if C::ENABLED {
-        cap.head(rule.head.pred, &key, &cost);
+        cap.head(head.pred, &key, &cost);
     }
-    out.push(rule.head.pred, key, cost)
+    out.push(head.pred, key, cost)
 }
 
-fn resolve_term(t: &Term, binding: &Binding) -> Option<Value> {
-    match t {
-        Term::Const(c) => Some(Value::from_const(*c)),
-        Term::Var(v) => binding.get(*v).cloned(),
-    }
-}
-
-/// Continuation invoked once per match with the extended binding, the
+/// Continuation invoked once per match with the extended frame, the
 /// matched key, and its stored cost.
-type MatchCont<'a> = dyn FnMut(&mut Binding, &Tuple, &Option<Value>) -> Result<(), EvalError> + 'a;
+type MatchCont<'a> = dyn FnMut(&mut Frame, &Tuple, &Option<Value>) -> Result<(), EvalError> + 'a;
 
-/// Enumerate matches of `atom` against the database under `binding`,
-/// calling `k` for each extension with the matched key and its stored
-/// cost. Handles default-value predicates: a fully-keyed lookup that
-/// misses the core yields the default cost.
+/// Enumerate matches of `probe` against the database on `frame`, calling
+/// `k` for each extension with the matched key and its stored cost.
+/// Handles default-value predicates: a fully-keyed lookup that misses the
+/// core yields the default cost.
 fn for_each_match(
     ctx: &Ctx<'_>,
-    atom: &Atom,
-    binding: &mut Binding,
+    probe: &Probe,
+    frame: &mut Frame,
     k: &mut MatchCont<'_>,
 ) -> Result<(), EvalError> {
-    let has_cost = ctx.program.is_cost_pred(atom.pred);
-    let key_args = atom.key_args(has_cost);
-    let key_vals: Vec<Option<Value>> = key_args
-        .iter()
-        .map(|t| resolve_term(t, binding))
-        .collect();
-    let all_keys_bound = key_vals.iter().all(Option::is_some);
-
-    // Fast path: fully bound key — direct lookup (with default fallback).
-    if all_keys_bound {
-        let key = Tuple::new(key_vals.into_iter().map(Option::unwrap).collect());
-        let Some(cost) = ctx.db.cost(ctx.program, atom.pred, &key) else {
-            return Ok(());
-        };
-        return try_cost_and_continue(atom, has_cost, &key, &cost, binding, k);
-    }
-
-    let Some(rel) = ctx.db.relation(atom.pred) else {
-        return Ok(());
-    };
-
-    // Indexed probe on the signature of every bound key position: the
-    // postings hold exactly the keys matching all bound positions, so the
-    // per-key re-check below only confirms (and binds the free positions).
-    // Plan-registered signatures hit a warm index; anything else (e.g.
-    // aggregate-driver reruns with pre-bound groupings) builds its index
-    // lazily. Sig 0 (nothing bound) walks the insertion log directly.
+    // The runtime signature: every key position whose value is known now.
+    // That is the plan's signature plus any slot a firing bound ahead of
+    // the plan — an aggregate driver re-running the rule's plan with its
+    // groupings pre-bound probes a wider, lazily built signature.
+    let Frame { vals, proj, .. } = &mut *frame;
+    proj.clear();
     let mut sig: Sig = 0;
-    let mut projection: Vec<Value> = Vec::new();
-    for (i, v) in key_vals.iter().enumerate() {
-        if let Some(val) = v {
-            if i < 32 {
+    let mut all_known = true;
+    for (i, op) in probe.keys.iter().enumerate() {
+        match op_value(vals, op) {
+            Some(v) if i < 32 => {
                 sig |= 1 << i;
-                projection.push(val.clone());
+                proj.push(v.clone());
             }
+            Some(_) => {}
+            None => all_known = false,
         }
     }
+
+    // Fast path: fully bound key — direct lookup (with default fallback).
+    if all_known {
+        frame.fill_lookup(&probe.keys);
+        let lookup = &frame.lookups[probe.keys.len()];
+        return match ctx
+            .db
+            .relation(probe.pred)
+            .and_then(|rel| rel.get_key_value(lookup))
+        {
+            Some((key, cost)) => continue_match(frame, probe, key, cost, k),
+            // The only match that copies its key: a default-value tuple
+            // that is not stored.
+            None => match &probe.default {
+                Some(bottom) => {
+                    let key = lookup.clone();
+                    continue_match(frame, probe, &key, &Some(bottom.clone()), k)
+                }
+                None => Ok(()),
+            },
+        };
+    }
+
+    let Some(rel) = ctx.db.relation(probe.pred) else {
+        return Ok(());
+    };
+    // Indexed probe on the runtime signature: the postings hold exactly
+    // the keys matching all known positions, so the per-key match below
+    // skips them and only binds the free positions. Sig 0 (nothing known)
+    // walks the insertion log directly.
     let postings;
     let candidates: &[Arc<Tuple>] = if sig != 0 {
-        match rel.probe(sig, &projection) {
+        match rel.probe(sig, &frame.proj) {
             Some(hits) => {
                 postings = hits;
                 &postings
@@ -2086,241 +2222,148 @@ fn for_each_match(
     } else {
         rel.arc_keys()
     };
-
     for key in candidates {
-        if key.arity() != key_args.len() {
-            continue;
-        }
-        // Match each key position, tracking fresh bindings for undo.
-        let mut fresh: Vec<Var> = Vec::new();
-        let mut ok = true;
-        for (i, t) in key_args.iter().enumerate() {
-            match t {
-                Term::Const(c) => {
-                    if Value::from_const(*c) != key[i] {
-                        ok = false;
-                        break;
-                    }
-                }
-                Term::Var(v) => match binding.get(*v) {
-                    Some(bound) => {
-                        if *bound != key[i] {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        binding.bind(*v, key[i].clone());
-                        fresh.push(*v);
-                    }
-                },
+        let mark = frame.mark();
+        if match_keys(frame, probe, key, sig) {
+            let cost = match probe.cost {
+                Some(_) => rel.get(key).cloned().unwrap_or(None),
+                None => None,
+            };
+            if match_cost(frame, probe, &cost) {
+                k(frame, key, &cost)?;
             }
         }
-        if ok {
-            let cost = rel.get(key).cloned().unwrap_or(None);
-            try_cost_and_continue(atom, has_cost, key, &cost, binding, k)?;
-        }
-        for v in fresh {
-            binding.unbind(v);
-        }
+        frame.undo(mark);
     }
     Ok(())
 }
 
-/// Match the cost argument (if any) and continue.
-fn try_cost_and_continue(
-    atom: &Atom,
-    has_cost: bool,
+/// Match the cost of a looked-up key and continue.
+fn continue_match(
+    frame: &mut Frame,
+    probe: &Probe,
     key: &Tuple,
     cost: &Option<Value>,
-    binding: &mut Binding,
     k: &mut MatchCont<'_>,
 ) -> Result<(), EvalError> {
-    if !has_cost {
-        return k(binding, key, cost);
-    }
-    let cost_term = atom.cost_arg(true).expect("cost predicate");
-    let Some(cv) = cost else {
-        return Ok(());
+    let mark = frame.mark();
+    let r = if match_cost(frame, probe, cost) {
+        k(frame, key, cost)
+    } else {
+        Ok(())
     };
-    match cost_term {
-        Term::Const(c) => {
-            if values_equal(&Value::from_const(*c), cv) {
-                k(binding, key, cost)
-            } else {
-                Ok(())
-            }
-        }
-        Term::Var(v) => match binding.get(*v) {
-            Some(bound) => {
-                if values_equal(bound, cv) {
-                    k(binding, key, cost)
-                } else {
-                    Ok(())
-                }
-            }
-            None => {
-                binding.bind(*v, cv.clone());
-                let r = k(binding, key, cost);
-                binding.unbind(*v);
-                r
-            }
+    frame.undo(mark);
+    r
+}
+
+/// Does a ground atom hold in the database (with default fallback)?
+fn atom_holds(ctx: &Ctx<'_>, probe: &Probe, frame: &mut Frame) -> bool {
+    if !frame.fill_lookup(&probe.keys) {
+        return false;
+    }
+    let key = &frame.lookups[probe.keys.len()];
+    let Some(cost) = ctx.db.cost(ctx.program, probe.pred, key) else {
+        return false;
+    };
+    match &probe.cost {
+        None => true,
+        Some(op) => match (op_value(&frame.vals, op), cost) {
+            (Some(want), Some(cv)) => values_equal(&cv, want),
+            _ => false,
         },
     }
 }
 
-/// Match an atom against an explicit (key, cost) pair — used by semi-naive
-/// drivers.
-fn match_atom_against(
-    program: &Program,
-    atom: &Atom,
-    key: &Tuple,
-    cost: &Option<Value>,
-    binding: &mut Binding,
-) -> bool {
-    let has_cost = program.is_cost_pred(atom.pred);
-    let key_args = atom.key_args(has_cost);
-    if key_args.len() != key.arity() {
-        return false;
-    }
-    for (i, t) in key_args.iter().enumerate() {
-        match t {
-            Term::Const(c) => {
-                if Value::from_const(*c) != key[i] {
-                    return false;
-                }
-            }
-            Term::Var(v) => match binding.get(*v) {
-                Some(bound) => {
-                    if *bound != key[i] {
-                        return false;
-                    }
-                }
-                None => binding.bind(*v, key[i].clone()),
-            },
-        }
-    }
-    if has_cost {
-        let Some(cv) = cost else { return false };
-        match atom.cost_arg(true).expect("cost predicate") {
-            Term::Const(c) => {
-                if !values_equal(&Value::from_const(*c), cv) {
-                    return false;
-                }
-            }
-            Term::Var(v) => match binding.get(*v) {
-                Some(bound) => {
-                    if !values_equal(bound, cv) {
-                        return false;
-                    }
-                }
-                None => binding.bind(*v, cv.clone()),
-            },
-        }
-    }
-    true
-}
-
-/// Does a ground atom hold in the database (with default fallback)?
-fn atom_holds(ctx: &Ctx<'_>, atom: &Atom, binding: &Binding) -> bool {
-    let has_cost = ctx.program.is_cost_pred(atom.pred);
-    let key: Option<Vec<Value>> = atom
-        .key_args(has_cost)
-        .iter()
-        .map(|t| resolve_term(t, binding))
-        .collect();
-    let Some(key) = key else { return false };
-    let key = Tuple::new(key);
-    let Some(cost) = ctx.db.cost(ctx.program, atom.pred, &key) else {
-        return false;
-    };
-    if !has_cost {
-        return true;
-    }
-    let Some(want) = atom
-        .cost_arg(true)
-        .and_then(|t| resolve_term(t, binding))
-    else {
-        return false;
-    };
-    cost.is_some_and(|cv| values_equal(&cv, &want))
-}
-
-/// Evaluate the aggregate subgoal: enumerate the conjunction, group, apply
-/// the function, and continue per satisfying (grouping, result) binding.
-#[allow(clippy::too_many_arguments)]
+/// Evaluate the aggregate step `step`: enumerate the conjunction on the
+/// same frame, group, apply the function, and continue per satisfying
+/// (grouping, result) binding.
 fn eval_aggregate<C: Capture>(
     ctx: &Ctx<'_>,
     rule: &Rule,
-    lit: usize,
-    agg: &maglog_datalog::Aggregate,
-    conjunct_order: &[usize],
-    binding: &mut Binding,
+    step: &Step,
+    frame: &mut Frame,
     cap: &mut C,
-    k: &mut dyn FnMut(&mut Binding, &mut C) -> Result<(), EvalError>,
+    k: &mut dyn FnMut(&mut Frame, &mut C) -> Result<(), EvalError>,
 ) -> Result<(), EvalError> {
-    let grouping_vars = rule.aggregate_grouping_vars(lit);
+    let Step::Agg {
+        lit,
+        conjuncts,
+        groupings,
+        element,
+        result,
+        ..
+    } = step
+    else {
+        unreachable!("aggregate evaluation of a non-aggregate step")
+    };
+    let Literal::Agg(agg) = &rule.body[*lit] else {
+        unreachable!("Agg step on non-aggregate")
+    };
 
     // Enumerate all assignments of the conjunction (restricted by the
-    // current binding), folding each multiset element straight into its
+    // current bindings), folding each multiset element straight into its
     // group's streaming accumulator — no per-group element buffering. The
-    // fold order per group is the enumeration order, same as before.
-    // Under capture, each element additionally buffers the conjunct tuples
-    // that supplied it (the trail slice since `mark`), so the winner's
-    // supports can be reported without re-deriving them.
+    // group key is assembled in the frame's scratch buffer and looked up
+    // by slice; only a new group copies it. Under capture, each element
+    // additionally buffers the conjunct tuples that supplied it (the
+    // trail slice since `mark`), so the winner's supports can be reported
+    // without re-deriving them.
     let mark = if C::ENABLED { cap.trail_mark() } else { 0 };
     let mut groups: HashMap<Vec<Value>, aggregate::Accumulator> = HashMap::new();
     let mut buffers: HashMap<Vec<Value>, Vec<(Value, Vec<BodyAtom>)>> = HashMap::new();
-    {
-        let mut scratch = binding.clone();
-        enumerate_conjuncts(
-            ctx,
-            agg,
-            conjunct_order,
-            0,
-            &mut scratch,
-            cap,
-            &mut |b: &Binding, cap: &mut C| {
-                let gv: Vec<Value> = grouping_vars
+    let unit = Value::Bool(true);
+    let mut gkey = std::mem::take(&mut frame.group);
+    enumerate_conjuncts(
+        ctx,
+        conjuncts,
+        frame,
+        cap,
+        &mut |frame: &Frame, cap: &mut C| {
+            gkey.clear();
+            gkey.extend(
+                groupings
                     .iter()
-                    .map(|v| b.get(*v).cloned().expect("grouping bound at collection"))
-                    .collect();
-                let element = match agg.multiset_var {
-                    Some(e) => b.get(e).cloned().expect("multiset var bound"),
-                    None => Value::Bool(true),
-                };
-                if C::ENABLED {
-                    buffers
-                        .entry(gv.clone())
-                        .or_default()
-                        .push((element.clone(), cap.trail_since(mark)));
+                    .map(|&s| frame.get(s).cloned().expect("grouping bound at collection")),
+            );
+            let element = match element {
+                Some(e) => frame.get(*e).expect("multiset var bound"),
+                None => &unit,
+            };
+            if C::ENABLED {
+                buffers
+                    .entry(gkey.clone())
+                    .or_default()
+                    .push((element.clone(), cap.trail_since(mark)));
+            }
+            match groups.get_mut(gkey.as_slice()) {
+                Some(acc) => acc.push(element),
+                None => {
+                    let mut acc = aggregate::Accumulator::new(agg.func);
+                    acc.push(element);
+                    groups.insert(gkey.clone(), acc);
                 }
-                groups
-                    .entry(gv)
-                    .or_insert_with(|| aggregate::Accumulator::new(agg.func))
-                    .push(&element);
-            },
-        )?;
-    }
+            }
+        },
+    )?;
 
     // For `=` with fully bound groupings, the (possibly empty) group for
     // the bound values must be considered even if no tuple matched.
-    let groupings_bound = grouping_vars.iter().all(|v| binding.get(*v).is_some());
     if agg.eq == AggEq::Total {
-        if !groupings_bound {
-            return Err(EvalError::Aggregate(format!(
-                "`=` aggregate with unbound grouping variables in {}",
-                ctx.program.display_rule(rule)
-            )));
+        gkey.clear();
+        for &s in groupings {
+            let Some(v) = frame.get(s) else {
+                return Err(EvalError::Aggregate(format!(
+                    "`=` aggregate with unbound grouping variables in {}",
+                    ctx.program.display_rule(rule)
+                )));
+            };
+            gkey.push(v.clone());
         }
-        let gv: Vec<Value> = grouping_vars
-            .iter()
-            .map(|v| binding.get(*v).cloned().unwrap())
-            .collect();
-        groups
-            .entry(gv)
-            .or_insert_with(|| aggregate::Accumulator::new(agg.func));
+        if !groups.contains_key(gkey.as_slice()) {
+            groups.insert(gkey.clone(), aggregate::Accumulator::new(agg.func));
+        }
     }
+    frame.group = gkey;
 
     ctx.agg.groups.set(ctx.agg.groups.get() + groups.len() as u64);
     let mut elements = 0u64;
@@ -2338,68 +2381,42 @@ fn eval_aggregate<C: Capture>(
     for (gv, acc) in groups {
         let elements = acc.count();
         let winner = acc.winner();
-        let Some(result) = acc.finish() else {
+        let Some(value) = acc.finish() else {
             continue; // undefined (empty avg / type error): unsatisfiable
         };
-        // Bind grouping vars (fresh ones only) and the result.
-        let mut fresh: Vec<Var> = Vec::new();
-        let mut ok = true;
-        for (v, val) in grouping_vars.iter().zip(&gv) {
-            match binding.get(*v) {
-                Some(bound) => {
-                    if bound != val {
-                        ok = false;
-                        break;
-                    }
-                }
-                None => {
-                    binding.bind(*v, val.clone());
-                    fresh.push(*v);
-                }
-            }
-        }
+        // Bind grouping slots (fresh ones only) and the result.
+        let mark = frame.mark();
+        let ok = groupings
+            .iter()
+            .zip(&gv)
+            .all(|(&s, val)| unify_slot(frame, s, val, Value::eq));
         if ok {
             if C::ENABLED {
                 let (witnesses, witnesses_total) =
                     select_witnesses(winner, buffers.remove(&gv).unwrap_or_default());
                 cap.push_agg(AggWitness {
-                    lit,
+                    lit: *lit,
                     func: agg.func,
-                    result: result.clone(),
+                    result: value.clone(),
                     elements,
                     witnesses,
                     witnesses_total,
                     partial: false,
                 });
             }
-            match &agg.result {
-                Term::Const(c) => {
-                    if values_equal(&Value::from_const(*c), &result) {
-                        k(binding, cap)?;
-                    }
-                }
-                Term::Var(rv) => match binding.get(*rv) {
-                    Some(bound) => {
-                        if values_equal(bound, &result) {
-                            k(binding, cap)?;
-                        }
-                    }
-                    None => {
-                        binding.bind(*rv, result.clone());
-                        k(binding, cap)?;
-                        binding.unbind(*rv);
-                    }
-                },
+            let matched = match result {
+                Arg::Const(c) => values_equal(c, &value),
+                Arg::Slot(s) => unify_slot(frame, *s, &value, values_equal),
+            };
+            if matched {
+                k(frame, cap)?;
             }
             if C::ENABLED {
                 cap.pop_agg();
             }
         }
-        for v in fresh {
-            binding.unbind(v);
-        }
+        frame.undo(mark);
     }
-    let _ = AggFunc::Count; // silence unused-import lints in some cfgs
     Ok(())
 }
 
@@ -2407,23 +2424,20 @@ fn eval_aggregate<C: Capture>(
 /// the planned order.
 fn enumerate_conjuncts<C: Capture>(
     ctx: &Ctx<'_>,
-    agg: &maglog_datalog::Aggregate,
-    order: &[usize],
-    depth: usize,
-    binding: &mut Binding,
+    conjuncts: &[Probe],
+    frame: &mut Frame,
     cap: &mut C,
-    emit: &mut dyn FnMut(&Binding, &mut C),
+    emit: &mut dyn FnMut(&Frame, &mut C),
 ) -> Result<(), EvalError> {
-    if depth == order.len() {
-        emit(binding, cap);
+    let Some((probe, rest)) = conjuncts.split_first() else {
+        emit(frame, cap);
         return Ok(());
-    }
-    let atom = &agg.conjuncts[order[depth]];
-    for_each_match(ctx, atom, binding, &mut |b, key, cost| {
+    };
+    for_each_match(ctx, probe, frame, &mut |frame, key, cost| {
         if C::ENABLED {
-            cap.push_atom(atom.pred, key, cost);
+            cap.push_atom(probe.pred, key, cost);
         }
-        let r = enumerate_conjuncts(ctx, agg, order, depth + 1, b, cap, emit);
+        let r = enumerate_conjuncts(ctx, rest, frame, cap, emit);
         if C::ENABLED {
             cap.pop_atom();
         }
@@ -2433,16 +2447,16 @@ fn enumerate_conjuncts<C: Capture>(
 
 /// Evaluate an arithmetic expression. `None` on unbound variables or type
 /// mismatches (the branch is then unsatisfiable).
-fn eval_expr(e: &Expr, binding: &Binding) -> Option<Value> {
+fn eval_expr(e: &SlotExpr, frame: &Frame) -> Option<Value> {
     match e {
-        Expr::Term(t) => resolve_term(t, binding),
-        Expr::Neg(inner) => {
-            let v = eval_expr(inner, binding)?;
+        SlotExpr::Arg(a) => arg_value(&frame.vals, a).cloned(),
+        SlotExpr::Neg(inner) => {
+            let v = eval_expr(inner, frame)?;
             Some(Value::num(-v.as_f64()?))
         }
-        Expr::Bin(op, l, r) => {
-            let lv = eval_expr(l, binding)?;
-            let rv = eval_expr(r, binding)?;
+        SlotExpr::Bin(op, l, r) => {
+            let lv = eval_expr(l, frame)?;
+            let rv = eval_expr(r, frame)?;
             let (a, b) = (lv.as_f64()?, rv.as_f64()?);
             let out = match op {
                 BinOp::Add => a + b,
@@ -2525,36 +2539,24 @@ pub fn why_not(program: &Program, db: &Interp, goal: &Goal) -> WhyNotReport {
         db,
         agg: &counters,
     };
-    let has_cost = program.is_cost_pred(goal.pred);
     let mut rules = Vec::new();
     for (ri, rule) in program.rules.iter().enumerate() {
         if rule.head.pred != goal.pred {
             continue;
         }
         let rule_text = program.display_rule(rule);
-        let mut binding = Binding::new();
-        let mut unified = rule.head.key_args(has_cost).len() == goal.key.arity();
-        if unified {
-            for (t, val) in rule.head.key_args(has_cost).iter().zip(goal.key.0.iter()) {
-                match t {
-                    Term::Const(c) => {
-                        if !values_equal(&Value::from_const(*c), val) {
-                            unified = false;
-                            break;
-                        }
-                    }
-                    Term::Var(v) => match binding.get(*v) {
-                        Some(bound) => {
-                            if !values_equal(bound, val) {
-                                unified = false;
-                                break;
-                            }
-                        }
-                        None => binding.bind(*v, val.clone()),
-                    },
-                }
-            }
-        }
+        let slots = Slots::of(rule);
+        let head = Emit::compile(program, &slots, rule);
+        let mut frame = Frame::new(slots.len(), head.keys.len());
+        let unified = head.keys.len() == goal.key.arity()
+            && head
+                .keys
+                .iter()
+                .zip(goal.key.0.iter())
+                .all(|(arg, val)| match arg {
+                    Arg::Const(c) => values_equal(c, val),
+                    Arg::Slot(s) => unify_slot(&mut frame, *s, val, values_equal),
+                });
         if !unified {
             rules.push(RuleProbe {
                 rule: ri,
@@ -2567,7 +2569,7 @@ pub fn why_not(program: &Program, db: &Interp, goal: &Goal) -> WhyNotReport {
             });
             continue;
         }
-        let seed: BTreeSet<Var> = binding.map.keys().copied().collect();
+        let seed: BTreeSet<Var> = frame.trail.iter().map(|&s| slots.var(s)).collect();
         let plan = match plan_rule(program, rule, &seed, None) {
             Ok(p) => p,
             Err(e) => {
@@ -2585,12 +2587,19 @@ pub fn why_not(program: &Program, db: &Interp, goal: &Goal) -> WhyNotReport {
         };
         let total = plan.steps.len();
         let mut st = ProbeState::default();
+        let probe = RuleProbeCtx {
+            ctx: &ctx,
+            rule,
+            slots: &slots,
+            head: &head,
+            steps: &plan.steps,
+        };
         // A probe error (e.g. a `=` aggregate whose groupings the goal
         // left unbound) leaves the failure description of the step that
         // raised it — exactly the answer we want.
-        let _ = probe_steps(&ctx, rule, &plan.steps, 0, &mut binding, &mut st);
+        let _ = probe_steps(&probe, 0, &mut frame, &mut st);
         let derivable = if st.satisfied {
-            Some(match (&st.derived_cost, has_cost) {
+            Some(match (&st.derived_cost, head.cost.is_some()) {
                 (Some(v), true) => v.display(program),
                 _ => "true".to_string(),
             })
@@ -2624,109 +2633,94 @@ struct ProbeState {
     derived_cost: Option<Value>,
 }
 
+/// What a why-not probe walks: one rule's plan with its slot numbering.
+struct RuleProbeCtx<'a> {
+    ctx: &'a Ctx<'a>,
+    rule: &'a Rule,
+    slots: &'a Slots,
+    head: &'a Emit,
+    steps: &'a [Step],
+}
+
 fn probe_steps(
-    ctx: &Ctx<'_>,
-    rule: &Rule,
-    steps: &[Step],
+    p: &RuleProbeCtx<'_>,
     idx: usize,
-    binding: &mut Binding,
+    frame: &mut Frame,
     st: &mut ProbeState,
 ) -> Result<(), EvalError> {
-    let Some(step) = steps.get(idx) else {
+    let Some(step) = p.steps.get(idx) else {
         if !st.satisfied {
             st.satisfied = true;
-            let has_cost = ctx.program.is_cost_pred(rule.head.pred);
-            st.derived_cost = rule
+            st.derived_cost = p
                 .head
-                .cost_arg(has_cost)
-                .and_then(|t| resolve_term(t, binding));
+                .cost
+                .as_ref()
+                .and_then(|(arg, _)| arg_value(&frame.vals, arg).cloned());
         }
         return Ok(());
     };
     if st.desc.is_none() || idx > st.frontier {
         st.frontier = idx;
-        st.desc = Some(describe_step(ctx.program, rule, step, binding));
+        let named = Named {
+            slots: p.slots,
+            frame,
+        };
+        st.desc = Some(subst_literal(
+            p.ctx.program,
+            &p.rule.body[step_lit(step)],
+            &named,
+        ));
     }
     match step {
-        Step::Atom { lit, .. } => {
-            let Literal::Pos(atom) = &rule.body[*lit] else {
-                unreachable!("Atom step on non-positive literal")
-            };
-            for_each_match(ctx, atom, binding, &mut |b, _key, _cost| {
-                probe_steps(ctx, rule, steps, idx + 1, b, st)
+        Step::Atom { probe, .. } => {
+            for_each_match(p.ctx, probe, frame, &mut |frame, _key, _cost| {
+                probe_steps(p, idx + 1, frame, st)
             })
         }
-        Step::Assign {
-            lit,
-            target,
-            target_is_lhs,
-        } => {
-            let Literal::Builtin(b) = &rule.body[*lit] else {
-                unreachable!("Assign step on non-builtin")
-            };
-            let source = if *target_is_lhs { &b.rhs } else { &b.lhs };
-            let Some(value) = eval_expr(source, binding) else {
+        Step::Assign { target, source, .. } => {
+            let Some(value) = eval_expr(source, frame) else {
                 return Ok(());
             };
-            match binding.get(*target) {
-                Some(existing) => {
-                    if values_equal(existing, &value) {
-                        probe_steps(ctx, rule, steps, idx + 1, binding, st)
-                    } else {
-                        Ok(())
-                    }
-                }
+            match frame
+                .get(*target)
+                .map(|existing| values_equal(existing, &value))
+            {
+                Some(true) => probe_steps(p, idx + 1, frame, st),
+                Some(false) => Ok(()),
                 None => {
-                    binding.bind(*target, value);
-                    let r = probe_steps(ctx, rule, steps, idx + 1, binding, st);
-                    binding.unbind(*target);
+                    let mark = frame.mark();
+                    frame.bind(*target, value);
+                    let r = probe_steps(p, idx + 1, frame, st);
+                    frame.undo(mark);
                     r
                 }
             }
         }
-        Step::Test { lit } => {
-            let Literal::Builtin(b) = &rule.body[*lit] else {
-                unreachable!("Test step on non-builtin")
-            };
-            let (Some(l), Some(r)) = (eval_expr(&b.lhs, binding), eval_expr(&b.rhs, binding))
-            else {
+        Step::Test { op, lhs, rhs, .. } => {
+            let (Some(l), Some(r)) = (eval_expr(lhs, frame), eval_expr(rhs, frame)) else {
                 return Ok(());
             };
-            if compare_values(b.op, &l, &r) {
-                probe_steps(ctx, rule, steps, idx + 1, binding, st)
+            if compare_values(*op, &l, &r) {
+                probe_steps(p, idx + 1, frame, st)
             } else {
                 Ok(())
             }
         }
-        Step::Neg { lit } => {
-            let Literal::Neg(atom) = &rule.body[*lit] else {
-                unreachable!("Neg step on non-negative literal")
-            };
-            if atom_holds(ctx, atom, binding) {
+        Step::Neg { probe, .. } => {
+            if atom_holds(p.ctx, probe, frame) {
                 Ok(())
             } else {
-                probe_steps(ctx, rule, steps, idx + 1, binding, st)
+                probe_steps(p, idx + 1, frame, st)
             }
         }
-        Step::Agg {
-            lit,
-            conjunct_order,
-            ..
-        } => {
-            let Literal::Agg(agg) = &rule.body[*lit] else {
-                unreachable!("Agg step on non-aggregate")
-            };
-            eval_aggregate(
-                ctx,
-                rule,
-                *lit,
-                agg,
-                conjunct_order,
-                binding,
-                &mut NoCapture,
-                &mut |b, _cap| probe_steps(ctx, rule, steps, idx + 1, b, st),
-            )
-        }
+        Step::Agg { .. } => eval_aggregate(
+            p.ctx,
+            p.rule,
+            step,
+            frame,
+            &mut NoCapture,
+            &mut |frame, _cap| probe_steps(p, idx + 1, frame, st),
+        ),
     }
 }
 
@@ -2734,18 +2728,26 @@ fn step_lit(step: &Step) -> usize {
     match step {
         Step::Atom { lit, .. }
         | Step::Assign { lit, .. }
-        | Step::Test { lit }
-        | Step::Neg { lit }
+        | Step::Test { lit, .. }
+        | Step::Neg { lit, .. }
         | Step::Agg { lit, .. } => *lit,
     }
 }
 
-fn describe_step(program: &Program, rule: &Rule, step: &Step, binding: &Binding) -> String {
-    subst_literal(program, &rule.body[step_lit(step)], binding)
+/// A frame read by variable name, for rendering why-not subgoals.
+struct Named<'a> {
+    slots: &'a Slots,
+    frame: &'a Frame,
+}
+
+impl Named<'_> {
+    fn get(&self, v: Var) -> Option<&Value> {
+        self.frame.get(self.slots.slot(v))
+    }
 }
 
 /// Render a term with the probe's current bindings substituted in.
-fn subst_term(program: &Program, t: &Term, binding: &Binding) -> String {
+fn subst_term(program: &Program, t: &Term, binding: &Named<'_>) -> String {
     match t {
         Term::Const(c) => Value::from_const(*c).display(program),
         Term::Var(v) => match binding.get(*v) {
@@ -2755,7 +2757,7 @@ fn subst_term(program: &Program, t: &Term, binding: &Binding) -> String {
     }
 }
 
-fn subst_atom(program: &Program, atom: &Atom, binding: &Binding) -> String {
+fn subst_atom(program: &Program, atom: &Atom, binding: &Named<'_>) -> String {
     format!(
         "{}({})",
         program.pred_name(atom.pred),
@@ -2767,7 +2769,7 @@ fn subst_atom(program: &Program, atom: &Atom, binding: &Binding) -> String {
     )
 }
 
-fn subst_expr(program: &Program, e: &Expr, binding: &Binding) -> String {
+fn subst_expr(program: &Program, e: &Expr, binding: &Named<'_>) -> String {
     match e {
         Expr::Term(t) => subst_term(program, t, binding),
         Expr::Neg(inner) => format!("-({})", subst_expr(program, inner, binding)),
@@ -2786,7 +2788,7 @@ fn subst_expr(program: &Program, e: &Expr, binding: &Binding) -> String {
     }
 }
 
-fn subst_literal(program: &Program, lit: &Literal, binding: &Binding) -> String {
+fn subst_literal(program: &Program, lit: &Literal, binding: &Named<'_>) -> String {
     match lit {
         Literal::Pos(a) => subst_atom(program, a, binding),
         Literal::Neg(a) => format!("! {}", subst_atom(program, a, binding)),
@@ -2831,12 +2833,6 @@ fn subst_literal(program: &Program, lit: &Literal, binding: &Binding) -> String 
             )
         }
     }
-}
-
-// `Const` is referenced by pattern matches above; keep the import honest.
-#[allow(unused)]
-fn _const_witness(c: Const) -> Const {
-    c
 }
 
 #[cfg(test)]

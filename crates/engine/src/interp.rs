@@ -31,7 +31,8 @@
 
 use crate::value::{RuntimeDomain, Value};
 use maglog_datalog::{Pred, Program};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -231,6 +232,11 @@ impl Relation {
         self.map.get(key)
     }
 
+    /// The stored (shared) key equal to `key`, with its cost.
+    pub fn get_key_value(&self, key: &Tuple) -> Option<(&Arc<Tuple>, &Option<Value>)> {
+        self.map.get_key_value(key)
+    }
+
     pub fn contains(&self, key: &Tuple) -> bool {
         self.map.contains_key(key)
     }
@@ -258,6 +264,37 @@ impl Relation {
         self.log.push(key.clone());
         self.map.insert(key, cost);
         None
+    }
+
+    /// Join `cost` into the entry of `key` with one hash lookup: a new
+    /// key is inserted (and logged); an existing cost is replaced by
+    /// `domain.join(old, cost)` when that differs from it. Entries
+    /// without a cost or a domain are never changed once present.
+    pub fn join_arc(
+        &mut self,
+        key: Arc<Tuple>,
+        cost: Option<Value>,
+        domain: Option<&RuntimeDomain>,
+    ) -> Joined {
+        match self.map.entry(key) {
+            Entry::Vacant(slot) => {
+                self.log.push(slot.key().clone());
+                slot.insert(cost);
+                Joined::New
+            }
+            Entry::Occupied(mut slot) => match (slot.get_mut(), cost, domain) {
+                (Some(old), Some(new), Some(d)) => {
+                    let joined = d.join(old, &new);
+                    if joined == *old {
+                        Joined::Unchanged
+                    } else {
+                        *old = joined.clone();
+                        Joined::Improved(Some(joined))
+                    }
+                }
+                _ => Joined::Unchanged,
+            },
+        }
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, &Option<Value>)> {
@@ -368,6 +405,15 @@ impl Relation {
             index_bytes,
         }
     }
+}
+
+/// What [`Relation::join_arc`] did to the stored entry.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Joined {
+    New,
+    /// The stored cost grew to this value.
+    Improved(Option<Value>),
+    Unchanged,
 }
 
 /// Estimated heap footprint of one [`Relation`], by storage component
@@ -494,29 +540,44 @@ impl Interp {
     }
 
     /// Deterministic rendering for golden tests: one `pred(args[, cost])`
-    /// per line, sorted.
+    /// per line, relations by name, rows sorted by their bytes. Each
+    /// relation's rows are written into one scratch buffer and sorted as
+    /// byte ranges of it, so no row or value gets a `String` of its own.
     pub fn render(&self, program: &Program) -> String {
-        let mut lines: Vec<String> = Vec::new();
-        let mut rels: BTreeMap<String, &Relation> = BTreeMap::new();
-        for (&pred, rel) in &self.rels {
-            rels.insert(program.pred_name(pred), rel);
-        }
+        let mut rels: Vec<(String, &Relation)> = self
+            .rels
+            .iter()
+            .map(|(&pred, rel)| (program.pred_name(pred), rel))
+            .collect();
+        rels.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut out = String::new();
+        let mut rows = String::new();
+        let mut ranges: Vec<std::ops::Range<usize>> = Vec::new();
         for (name, rel) in rels {
-            let mut rows: Vec<String> = rel
-                .iter()
-                .map(|(key, cost)| {
-                    let mut parts: Vec<String> =
-                        key.0.iter().map(|v| v.display(program)).collect();
-                    if let Some(c) = cost {
-                        parts.push(c.display(program));
+            rows.clear();
+            ranges.clear();
+            for (key, cost) in rel.iter() {
+                let start = rows.len();
+                rows.push_str(&name);
+                rows.push('(');
+                for (i, v) in key.0.iter().chain(cost).enumerate() {
+                    if i > 0 {
+                        rows.push_str(", ");
                     }
-                    format!("{name}({})", parts.join(", "))
-                })
-                .collect();
-            rows.sort();
-            lines.extend(rows);
+                    v.write_display(program, &mut rows);
+                }
+                rows.push(')');
+                ranges.push(start..rows.len());
+            }
+            ranges.sort_unstable_by(|a, b| rows[a.clone()].cmp(&rows[b.clone()]));
+            for r in &ranges {
+                if !out.is_empty() {
+                    out.push('\n');
+                }
+                out.push_str(&rows[r.clone()]);
+            }
         }
-        lines.join("\n")
+        out
     }
 }
 

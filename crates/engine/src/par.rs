@@ -41,22 +41,29 @@ pub fn resolve_workers(requested: usize) -> usize {
 
 /// The shard (worker index in `0..workers`) that owns a semi-naive seed.
 ///
-/// The hash runs over the same `(exec slot, driver discriminator, sorted
-/// seed binding)` triple the sequential evaluator deduplicates on, through
-/// `DefaultHasher::new()` — SipHash with fixed keys, so the assignment is
-/// stable within a run and across runs of the same binary. Determinism of
-/// the *result* never depends on the hash values: any assignment yields
-/// the same model, this one just makes runs reproducible to observe.
-pub(crate) fn shard_of(
+/// The hash runs over the same `(exec slot, driver discriminator, seed
+/// binding)` triple the sequential evaluator deduplicates on, with the
+/// seed given as `(variable, value)` pairs in ascending variable order and
+/// hashed exactly as the slice `[(Var, Value)]` would be (its length, then
+/// each pair), through `DefaultHasher::new()` — SipHash with fixed keys, so
+/// the assignment is stable within a run and across runs of the same
+/// binary. Determinism of the *result* never depends on the hash values:
+/// any assignment yields the same model, this one just makes runs
+/// reproducible to observe.
+pub(crate) fn shard_of<'a>(
     exec_index: usize,
     disc: u64,
-    seed: &[(Var, Value)],
+    seed: impl ExactSizeIterator<Item = (Var, &'a Value)>,
     workers: usize,
 ) -> usize {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     exec_index.hash(&mut h);
     disc.hash(&mut h);
-    seed.hash(&mut h);
+    h.write_usize(seed.len());
+    for (var, value) in seed {
+        var.hash(&mut h);
+        value.hash(&mut h);
+    }
     (h.finish() % workers as u64) as usize
 }
 
@@ -151,6 +158,10 @@ mod tests {
     use maglog_datalog::Sym;
     use maglog_lattice::Real;
 
+    fn shard(exec: usize, disc: u64, seed: &[(Var, Value)], workers: usize) -> usize {
+        shard_of(exec, disc, seed.iter().map(|(v, x)| (*v, x)), workers)
+    }
+
     #[test]
     fn shard_assignment_is_deterministic_and_in_range() {
         let seed = vec![
@@ -158,15 +169,38 @@ mod tests {
             (Var(Sym(7)), Value::num(2.5)),
         ];
         for workers in 1..=8 {
-            let s = shard_of(2, 1022, &seed, workers);
+            let s = shard(2, 1022, &seed, workers);
             assert!(s < workers);
-            assert_eq!(s, shard_of(2, 1022, &seed, workers));
+            assert_eq!(s, shard(2, 1022, &seed, workers));
         }
         // Every component of the triple discriminates.
         assert!(
-            (0..64).any(|i| shard_of(i, 0, &seed, 8) != shard_of(0, 0, &seed, 8))
-                || (0..64).any(|d| shard_of(0, d, &seed, 8) != shard_of(0, 0, &seed, 8))
+            (0..64).any(|i| shard(i, 0, &seed, 8) != shard(0, 0, &seed, 8))
+                || (0..64).any(|d| shard(0, d, &seed, 8) != shard(0, 0, &seed, 8))
         );
+    }
+
+    #[test]
+    fn shard_hash_equals_the_seed_slice_hash() {
+        // Parallel goldens depend on shards staying where hashing the
+        // sorted `[(Var, Value)]` slice puts them.
+        let seed = vec![
+            (Var(Sym(1)), Value::num(4.0)),
+            (Var(Sym(5)), Value::Sym(Sym(9))),
+            (Var(Sym(6)), Value::Bool(true)),
+        ];
+        for (exec, disc) in [(0usize, 1023u64), (3, 2 * 1024 + 1022), (1, 0)] {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            exec.hash(&mut h);
+            disc.hash(&mut h);
+            seed.as_slice().hash(&mut h);
+            for workers in 2..=7 {
+                assert_eq!(
+                    shard(exec, disc, &seed, workers),
+                    (h.finish() % workers as u64) as usize
+                );
+            }
+        }
     }
 
     #[test]
@@ -175,7 +209,7 @@ mod tests {
         let mut owned = [0usize; 4];
         for i in 0..256 {
             let seed = vec![(Var(Sym(0)), Value::num(i as f64))];
-            owned[shard_of(0, 1023, &seed, 4)] += 1;
+            owned[shard(0, 1023, &seed, 4)] += 1;
         }
         assert!(owned.iter().all(|&n| n > 0), "degenerate spread: {owned:?}");
     }

@@ -17,10 +17,23 @@
 //! registers these signatures on the relations before evaluation, so every
 //! planned probe hits a matching multi-column index
 //! ([`crate::interp::Relation::probe`]).
+//!
+//! ## Slot programs
+//!
+//! Plans are compiled against a dense numbering of the rule's variables
+//! ([`Slots`]): slot `i` is the `i`-th distinct variable in ascending
+//! [`Var`] order, the same numbering for every plan of the rule, so one
+//! frame of `Option<Value>` cells serves all of them. Every atom becomes a
+//! [`Probe`] recipe — per argument position a constant, a slot bound
+//! before the atom, the first binding of a free slot, or a repeat of a
+//! slot bound earlier in the same atom — builtins become [`SlotExpr`]s,
+//! and the head becomes an [`Emit`] recipe. The evaluator runs these
+//! recipes without looking a variable up by name.
 
 use crate::interp::Sig;
+use crate::value::{RuntimeDomain, Value};
 use maglog_analysis::AnalysisReport;
-use maglog_datalog::{AggEq, Atom, Expr, Literal, Program, Rule, Term, Var};
+use maglog_datalog::{AggEq, Atom, BinOp, CmpOp, Expr, Literal, Pred, Program, Rule, Term, Var};
 use std::collections::BTreeSet;
 
 /// Opt-in optimizing rewrites, each gated on a static proof from
@@ -128,46 +141,217 @@ pub fn prem_rewrites(program: &Program, report: &AnalysisReport) -> Rewrites {
     out
 }
 
+/// A dense variable number: the index of a variable's cell in a firing's
+/// frame.
+pub type Slot = usize;
+
+/// The slot numbering of one rule: slot `i` holds the `i`-th distinct
+/// variable in ascending [`Var`] order, so ordering slots orders their
+/// variables.
+#[derive(Clone, Debug, Default)]
+pub struct Slots {
+    vars: Vec<Var>,
+}
+
+impl Slots {
+    pub fn of(rule: &Rule) -> Slots {
+        let mut vars = rule.all_vars();
+        vars.sort_unstable();
+        Slots { vars }
+    }
+
+    /// Number of slots (the frame size).
+    pub fn len(&self) -> usize {
+        self.vars.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.vars.is_empty()
+    }
+
+    /// The slot of `v`, which must occur in the rule.
+    pub fn slot(&self, v: Var) -> Slot {
+        self.vars
+            .binary_search(&v)
+            .expect("variable occurs in the rule")
+    }
+
+    /// The variable held by slot `s`.
+    pub fn var(&self, s: Slot) -> Var {
+        self.vars[s]
+    }
+}
+
+/// A head or expression operand: a constant or a slot.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Arg {
+    Const(Value),
+    Slot(Slot),
+}
+
+impl Arg {
+    fn compile(slots: &Slots, t: &Term) -> Arg {
+        match t {
+            Term::Const(c) => Arg::Const(Value::from_const(*c)),
+            Term::Var(v) => Arg::Slot(slots.slot(*v)),
+        }
+    }
+}
+
+/// How one argument position of an atom meets the frame. `Const` and
+/// `Bound` positions are known before the atom runs, so they form its
+/// probe signature; `Bind` and `Repeat` positions are filled by the
+/// matched tuple.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ArgOp {
+    /// A constant: compare.
+    Const(Value),
+    /// A slot bound before the atom runs: compare.
+    Bound(Slot),
+    /// The first occurrence of a slot free before the atom: bind it.
+    Bind(Slot),
+    /// A later occurrence of a slot this atom binds: compare.
+    Repeat(Slot),
+}
+
+/// The probe recipe of one atom: what each key position and the cost
+/// argument do, and the signature of the positions known in advance.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Probe {
+    pub pred: Pred,
+    pub keys: Vec<ArgOp>,
+    /// Present exactly for cost predicates.
+    pub cost: Option<ArgOp>,
+    /// The plan-time signature: `Const` and `Bound` key positions below 32.
+    pub sig: Sig,
+    /// The domain bottom a fully bound lookup falls back to on a
+    /// default-value predicate.
+    pub default: Option<Value>,
+}
+
+impl Probe {
+    /// Compile `atom` given the variables `bound` before it runs.
+    pub fn compile(program: &Program, slots: &Slots, atom: &Atom, bound: &BTreeSet<Var>) -> Probe {
+        let spec = program.cost_spec(atom.pred);
+        let has_cost = spec.is_some();
+        let mut own: Vec<Var> = Vec::new();
+        let mut op = |t: &Term| match t {
+            Term::Const(c) => ArgOp::Const(Value::from_const(*c)),
+            Term::Var(v) if bound.contains(v) => ArgOp::Bound(slots.slot(*v)),
+            Term::Var(v) if own.contains(v) => ArgOp::Repeat(slots.slot(*v)),
+            Term::Var(v) => {
+                own.push(*v);
+                ArgOp::Bind(slots.slot(*v))
+            }
+        };
+        let keys: Vec<ArgOp> = atom.key_args(has_cost).iter().map(&mut op).collect();
+        let cost = atom.cost_arg(has_cost).map(&mut op);
+        let sig = keys
+            .iter()
+            .enumerate()
+            .filter(|(i, k)| *i < 32 && matches!(k, ArgOp::Const(_) | ArgOp::Bound(_)))
+            .fold(0, |sig, (i, _)| sig | (1 << i));
+        let default = spec
+            .filter(|s| s.has_default)
+            .map(|s| RuntimeDomain::new(s.domain).bottom());
+        Probe {
+            pred: atom.pred,
+            keys,
+            cost,
+            sig,
+            default,
+        }
+    }
+}
+
+/// A builtin side compiled onto slots.
+#[derive(Clone, Debug, PartialEq)]
+pub enum SlotExpr {
+    Arg(Arg),
+    Neg(Box<SlotExpr>),
+    Bin(BinOp, Box<SlotExpr>, Box<SlotExpr>),
+}
+
+impl SlotExpr {
+    fn compile(slots: &Slots, e: &Expr) -> SlotExpr {
+        match e {
+            Expr::Term(t) => SlotExpr::Arg(Arg::compile(slots, t)),
+            Expr::Neg(inner) => SlotExpr::Neg(Box::new(SlotExpr::compile(slots, inner))),
+            Expr::Bin(op, l, r) => SlotExpr::Bin(
+                *op,
+                Box::new(SlotExpr::compile(slots, l)),
+                Box::new(SlotExpr::compile(slots, r)),
+            ),
+        }
+    }
+}
+
+/// The emit recipe of a rule head: where each key position and the cost
+/// come from, and the cost domain the cost is coerced into.
+#[derive(Clone, Debug)]
+pub struct Emit {
+    pub pred: Pred,
+    pub keys: Vec<Arg>,
+    /// Present exactly for cost predicates.
+    pub cost: Option<(Arg, RuntimeDomain)>,
+}
+
+impl Emit {
+    pub fn compile(program: &Program, slots: &Slots, rule: &Rule) -> Emit {
+        let head = &rule.head;
+        let spec = program.cost_spec(head.pred);
+        let has_cost = spec.is_some();
+        Emit {
+            pred: head.pred,
+            keys: head
+                .key_args(has_cost)
+                .iter()
+                .map(|t| Arg::compile(slots, t))
+                .collect(),
+            cost: spec
+                .zip(head.cost_arg(has_cost))
+                .map(|(spec, t)| (Arg::compile(slots, t), RuntimeDomain::new(spec.domain))),
+        }
+    }
+}
+
 /// One evaluation step.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Step {
-    /// Join/scan a positive atom at body index `lit`, probing the index
-    /// for signature `sig` (0 = full scan).
-    Atom { lit: usize, sig: Sig },
+    /// Join/scan a positive atom at body index `lit` through its probe
+    /// recipe (`probe.sig` 0 = full scan).
+    Atom { lit: usize, probe: Probe },
     /// Evaluate one side of an `=` builtin and bind the other (a single
     /// variable). At runtime, if the target is already bound this becomes
     /// an equality test.
-    Assign { lit: usize, target: Var, target_is_lhs: bool },
+    Assign {
+        lit: usize,
+        target: Slot,
+        source: SlotExpr,
+    },
     /// Check a fully bound builtin.
-    Test { lit: usize },
+    Test {
+        lit: usize,
+        op: CmpOp,
+        lhs: SlotExpr,
+        rhs: SlotExpr,
+    },
     /// Check a fully bound negative literal.
-    Neg { lit: usize },
+    Neg { lit: usize, probe: Probe },
     /// Evaluate an aggregate subgoal; `conjunct_order` is the join order
     /// of its conjunction given the variables bound at this point, and
-    /// `conjunct_sigs[i]` the signature conjunct `conjunct_order[i]` will
-    /// probe.
+    /// `conjuncts[i]` the probe recipe of conjunct `conjunct_order[i]`.
+    /// `groupings` are the grouping variables' slots (in
+    /// [`Rule::aggregate_grouping_vars`] order), `element` the multiset
+    /// variable's, `result` the aggregate's result term.
     Agg {
         lit: usize,
         conjunct_order: Vec<usize>,
-        conjunct_sigs: Vec<Sig>,
+        conjuncts: Vec<Probe>,
+        groupings: Vec<Slot>,
+        element: Option<Slot>,
+        result: Arg,
     },
-}
-
-/// The signature (bitmask of bound key positions) `atom` would probe under
-/// `bound`: constants and bound variables contribute their position.
-fn atom_sig(program: &Program, atom: &Atom, bound: &BTreeSet<Var>) -> Sig {
-    let has_cost = program.is_cost_pred(atom.pred);
-    let mut sig = 0;
-    for (i, t) in atom.key_args(has_cost).iter().enumerate() {
-        let is_bound = match t {
-            Term::Const(_) => true,
-            Term::Var(v) => bound.contains(v),
-        };
-        if is_bound && i < 32 {
-            sig |= 1 << i;
-        }
-    }
-    sig
 }
 
 /// An ordered evaluation plan for one rule body.
@@ -179,25 +363,13 @@ pub struct Plan {
 impl Plan {
     /// Every (predicate, signature) this plan's probes want indexed —
     /// the engine registers these on the relations before evaluating.
-    pub fn probe_sigs(&self, rule: &Rule) -> Vec<(maglog_datalog::Pred, Sig)> {
+    pub fn probe_sigs(&self) -> Vec<(Pred, Sig)> {
         let mut out = Vec::new();
         for step in &self.steps {
             match step {
-                Step::Atom { lit, sig } => {
-                    if let Literal::Pos(a) = &rule.body[*lit] {
-                        out.push((a.pred, *sig));
-                    }
-                }
-                Step::Agg {
-                    lit,
-                    conjunct_order,
-                    conjunct_sigs,
-                } => {
-                    if let Literal::Agg(agg) = &rule.body[*lit] {
-                        for (ci, sig) in conjunct_order.iter().zip(conjunct_sigs) {
-                            out.push((agg.conjuncts[*ci].pred, *sig));
-                        }
-                    }
+                Step::Atom { probe, .. } => out.push((probe.pred, probe.sig)),
+                Step::Agg { conjuncts, .. } => {
+                    out.extend(conjuncts.iter().map(|c| (c.pred, c.sig)));
                 }
                 _ => {}
             }
@@ -209,49 +381,25 @@ impl Plan {
     /// `pred[sig=0b101] ; C := expr ; test ; !neg ; agg{...}`, in step
     /// order. Signatures are shown in binary (bit i = key position i
     /// bound), `scan` for an unindexed full scan.
-    pub fn summary(&self, program: &Program, rule: &Rule) -> String {
-        fn sig_str(sig: Sig) -> String {
-            if sig == 0 {
+    pub fn summary(&self, program: &Program) -> String {
+        let probe_str = |p: &Probe| -> String {
+            let sig = if p.sig == 0 {
                 "scan".to_string()
             } else {
-                format!("sig=0b{sig:b}")
-            }
-        }
-        let pred_of = |lit: usize| -> String {
-            match &rule.body[lit] {
-                Literal::Pos(a) | Literal::Neg(a) => program.pred_name(a.pred),
-                _ => "?".to_string(),
-            }
+                format!("sig=0b{:b}", p.sig)
+            };
+            format!("{}[{sig}]", program.pred_name(p.pred))
         };
         let parts: Vec<String> = self
             .steps
             .iter()
             .map(|step| match step {
-                Step::Atom { lit, sig } => {
-                    format!("{}[{}]", pred_of(*lit), sig_str(*sig))
-                }
+                Step::Atom { probe, .. } => probe_str(probe),
                 Step::Assign { .. } => ":=".to_string(),
                 Step::Test { .. } => "test".to_string(),
-                Step::Neg { lit } => format!("!{}", pred_of(*lit)),
-                Step::Agg {
-                    lit,
-                    conjunct_order,
-                    conjunct_sigs,
-                } => {
-                    let inner: Vec<String> = match &rule.body[*lit] {
-                        Literal::Agg(agg) => conjunct_order
-                            .iter()
-                            .zip(conjunct_sigs)
-                            .map(|(ci, sig)| {
-                                format!(
-                                    "{}[{}]",
-                                    program.pred_name(agg.conjuncts[*ci].pred),
-                                    sig_str(*sig)
-                                )
-                            })
-                            .collect(),
-                        _ => vec!["?".to_string()],
-                    };
+                Step::Neg { probe, .. } => format!("!{}", program.pred_name(probe.pred)),
+                Step::Agg { conjuncts, .. } => {
+                    let inner: Vec<String> = conjuncts.iter().map(probe_str).collect();
                     format!("agg{{{}}}", inner.join(" "))
                 }
             })
@@ -262,13 +410,15 @@ impl Plan {
 
 /// Compute a plan for `rule`, assuming `initially_bound` variables are
 /// bound on entry and that the literal `skip` (if any) has already been
-/// consumed by a semi-naive driver.
+/// consumed by a semi-naive driver. The steps are compiled against
+/// [`Slots::of`]`(rule)`.
 pub fn plan_rule(
     program: &Program,
     rule: &Rule,
     initially_bound: &BTreeSet<Var>,
     skip: Option<usize>,
 ) -> Result<Plan, String> {
+    let slots = Slots::of(rule);
     let mut bound = initially_bound.clone();
     let mut remaining: Vec<usize> = (0..rule.body.len())
         .filter(|i| Some(*i) != skip)
@@ -277,7 +427,7 @@ pub fn plan_rule(
 
     while !remaining.is_empty() {
         let Some((pos_in_remaining, step)) =
-            pick_next(program, rule, &remaining, &bound)
+            pick_next(program, rule, &slots, &remaining, &bound)
         else {
             return Err(format!(
                 "cannot order rule body (unbound `=`-aggregate grouping or free \
@@ -293,7 +443,7 @@ pub fn plan_rule(
                 }
             }
             Step::Assign { target, .. } => {
-                bound.insert(*target);
+                bound.insert(slots.var(*target));
             }
             Step::Test { .. } | Step::Neg { .. } => {}
             Step::Agg { lit, .. } => {
@@ -312,10 +462,11 @@ pub fn plan_rule(
 }
 
 /// Pick the best ready literal; returns its index within `remaining` and
-/// its step.
+/// its step, compiled onto `slots`.
 fn pick_next(
     program: &Program,
     rule: &Rule,
+    slots: &Slots,
     remaining: &[usize],
     bound: &BTreeSet<Var>,
 ) -> Option<(usize, Step)> {
@@ -329,28 +480,44 @@ fn pick_next(
                 let lhs_bound = lhs_vars.iter().all(|v| bound.contains(v));
                 let rhs_bound = rhs_vars.iter().all(|v| bound.contains(v));
                 if lhs_bound && rhs_bound {
-                    Some((0, Step::Test { lit: li }))
-                } else if b.op == maglog_datalog::CmpOp::Eq {
+                    Some((
+                        0,
+                        Step::Test {
+                            lit: li,
+                            op: b.op,
+                            lhs: SlotExpr::compile(slots, &b.lhs),
+                            rhs: SlotExpr::compile(slots, &b.rhs),
+                        },
+                    ))
+                } else if b.op == CmpOp::Eq {
                     // One side a single unbound variable, other side bound.
-                    let as_assign = |target: &Expr, source_bound: bool, is_lhs: bool| {
+                    let as_assign = |target: &Expr, source: &Expr, source_bound: bool| {
                         target.as_var().and_then(|v| {
-                            (!bound.contains(&v) && source_bound).then_some(Step::Assign {
+                            (!bound.contains(&v) && source_bound).then(|| Step::Assign {
                                 lit: li,
-                                target: v,
-                                target_is_lhs: is_lhs,
+                                target: slots.slot(v),
+                                source: SlotExpr::compile(slots, source),
                             })
                         })
                     };
-                    as_assign(&b.lhs, rhs_bound, true)
-                        .or_else(|| as_assign(&b.rhs, lhs_bound, false))
-                        .map(|s| (1, s))
+                    as_assign(&b.lhs, &b.rhs, rhs_bound)
+                        .or_else(|| as_assign(&b.rhs, &b.lhs, lhs_bound))
+                        .map(|s| (16, s))
                 } else {
                     None
                 }
             }
             Literal::Neg(a) => {
                 let ready = a.vars().all(|v| bound.contains(&v));
-                ready.then_some((2, Step::Neg { lit: li }))
+                ready.then(|| {
+                    (
+                        32,
+                        Step::Neg {
+                            lit: li,
+                            probe: Probe::compile(program, slots, a, bound),
+                        },
+                    )
+                })
             }
             Literal::Pos(a) => {
                 let total = a.args.len();
@@ -372,8 +539,8 @@ fn pick_next(
                 };
                 // Encode bound count into priority: more bound = better.
                 let refint = (total - bound_args) as u32;
-                let sig = atom_sig(program, a, bound);
-                Some((tier * 16 + refint, Step::Atom { lit: li, sig }))
+                let probe = Probe::compile(program, slots, a, bound);
+                Some((48 + tier * 16 + refint, Step::Atom { lit: li, probe }))
             }
             Literal::Agg(agg) => {
                 let groupings = rule.aggregate_grouping_vars(li);
@@ -383,13 +550,16 @@ fn pick_next(
                     None
                 } else {
                     let tier = if all_bound { 5 } else { 7 };
-                    plan_conjuncts(program, rule, li, bound).map(|(order, sigs)| {
+                    plan_conjuncts(program, rule, slots, li, bound).map(|(order, conjuncts)| {
                         (
-                            tier * 16,
+                            48 + tier * 16,
                             Step::Agg {
                                 lit: li,
                                 conjunct_order: order,
-                                conjunct_sigs: sigs,
+                                conjuncts,
+                                groupings: groupings.iter().map(|v| slots.slot(*v)).collect(),
+                                element: agg.multiset_var.map(|v| slots.slot(v)),
+                                result: Arg::compile(slots, &agg.result),
                             },
                         )
                     })
@@ -397,13 +567,6 @@ fn pick_next(
             }
         };
         if let Some((prio, step)) = candidate {
-            // Normalize tiers without the *16 encoding applied above.
-            let prio = match step {
-                Step::Test { .. } => 0,
-                Step::Assign { .. } => 16,
-                Step::Neg { .. } => 32,
-                _ => 48 + prio,
-            };
             if best.as_ref().is_none_or(|(bp, _, _)| prio < *bp) {
                 best = Some((prio, ri, step));
             }
@@ -413,22 +576,23 @@ fn pick_next(
 }
 
 /// Order the conjuncts of the aggregate at body index `li`, assuming
-/// `bound` plus whatever earlier conjuncts bind, and record the probe
-/// signature of each conjunct in that order. Default-value predicates
-/// must have all non-cost arguments bound before they are matched
-/// (otherwise their infinite extension would be enumerated).
+/// `bound` plus whatever earlier conjuncts bind, and compile the probe
+/// recipe of each conjunct in that order. Default-value predicates must
+/// have all non-cost arguments bound before they are matched (otherwise
+/// their infinite extension would be enumerated).
 fn plan_conjuncts(
     program: &Program,
     rule: &Rule,
+    slots: &Slots,
     li: usize,
     bound: &BTreeSet<Var>,
-) -> Option<(Vec<usize>, Vec<Sig>)> {
+) -> Option<(Vec<usize>, Vec<Probe>)> {
     let Literal::Agg(agg) = &rule.body[li] else {
         return None;
     };
     let mut bound = bound.clone();
     let mut order = Vec::new();
-    let mut sigs = Vec::new();
+    let mut probes = Vec::new();
     let mut remaining: Vec<usize> = (0..agg.conjuncts.len()).collect();
     while !remaining.is_empty() {
         let mut best: Option<(usize, usize, usize)> = None; // (unbound count, pos, idx)
@@ -455,12 +619,12 @@ fn plan_conjuncts(
             }
         }
         let (_, pos, ci) = best?;
-        sigs.push(atom_sig(program, &agg.conjuncts[ci], &bound));
+        probes.push(Probe::compile(program, slots, &agg.conjuncts[ci], &bound));
         bound.extend(agg.conjuncts[ci].vars());
         order.push(ci);
         remaining.remove(pos);
     }
-    Some((order, sigs))
+    Some((order, probes))
 }
 
 #[cfg(test)]
@@ -510,7 +674,7 @@ mod tests {
         );
         assert!(matches!(plan.steps[0], Step::Atom { lit: 0, .. }));
         assert!(matches!(plan.steps[1], Step::Agg { lit: 1, .. }));
-        assert!(matches!(plan.steps[2], Step::Test { lit: 2 }));
+        assert!(matches!(plan.steps[2], Step::Test { lit: 2, .. }));
     }
 
     #[test]
@@ -570,8 +734,7 @@ mod tests {
             path(X, Z, Y, C) :- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
             "#,
         );
-        let rule = &p.rules[0];
-        assert_eq!(plan.summary(&p, rule), "s[scan] ; arc[sig=0b1] ; :=");
+        assert_eq!(plan.summary(&p), "s[scan] ; arc[sig=0b1] ; :=");
     }
 
     #[test]

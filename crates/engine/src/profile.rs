@@ -640,7 +640,7 @@ impl<'p> MetricsSink<'p> {
                 prof.rule = ri;
                 prof.text = self.program.display_rule(rule);
                 prof.plan = plan_rule(self.program, rule, &BTreeSet::new(), None)
-                    .map(|p| p.summary(self.program, rule))
+                    .map(|p| p.summary(self.program))
                     .unwrap_or_else(|_| "<unplannable>".to_string());
                 prof
             })

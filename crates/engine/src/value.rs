@@ -103,13 +103,30 @@ impl Value {
 
     /// Render using `program`'s symbol table.
     pub fn display(&self, program: &Program) -> String {
+        let mut out = String::new();
+        self.write_display(program, &mut out);
+        out
+    }
+
+    /// Append [`display`](Self::display)'s rendering to `out`, without an
+    /// intermediate `String` per value.
+    pub fn write_display(&self, program: &Program, out: &mut String) {
+        use std::fmt::Write;
         match self {
-            Value::Sym(s) => program.symbols.name(*s),
-            Value::Num(n) => n.to_string(),
-            Value::Bool(b) => (*b as u8).to_string(),
+            Value::Sym(s) => program.symbols.with_name(*s, |name| out.push_str(name)),
+            Value::Num(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Value::Bool(b) => out.push(if *b { '1' } else { '0' }),
             Value::Set(items) => {
-                let parts: Vec<String> = items.iter().map(|v| v.display(program)).collect();
-                format!("{{{}}}", parts.join(", "))
+                out.push('{');
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    v.write_display(program, out);
+                }
+                out.push('}');
             }
         }
     }
