@@ -911,19 +911,10 @@ fn emit_bench_json(samples: Option<usize>) {
         .unwrap_or(3)
         .max(1);
     // Matches the committed document's provenance: CI asserts the
-    // baseline was measured under --optimize=prem, and the scaling
-    // section comes from MAGLOG_BENCH_JSON_PARALLEL workers (default 4,
-    // the curve BENCH_engine.json records; set 1 for a sequential doc).
-    let workers = std::env::var("MAGLOG_BENCH_JSON_PARALLEL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n >= 1)
-        .unwrap_or(4);
+    // baseline was measured under --optimize=prem.
     let cfg = v2::BenchConfig {
         samples,
         optimize: maglog_engine::Optimize::parse("prem").expect("prem is a known rewrite"),
-        workers,
-        scaling: v2::scaling_curve(workers),
         ..Default::default()
     };
     let measurements =

@@ -119,13 +119,6 @@ pub struct BenchConfig {
     /// derivation count and an unoptimized derivation figure from one
     /// extra untimed run, so the win is visible in the document.
     pub optimize: Optimize,
-    /// Worker count for the main matrix (`maglog bench --parallel[=N]`;
-    /// 1 = the sequential evaluator).
-    pub workers: usize,
-    /// Extra semi-naive worker counts to measure per cell (the scaling
-    /// curve; empty = no scaling section). [`scaling_curve`] builds the
-    /// conventional 1, 2, 4, ..., N ladder.
-    pub scaling: Vec<usize>,
     /// Span tracer attached to each cell's untimed *instrumented* run
     /// (`maglog bench --trace`). Timed samples always run untraced, so
     /// tracing never perturbs the medians; `None` records nothing.
@@ -145,29 +138,10 @@ impl Default for BenchConfig {
             workloads: Vec::new(),
             sizes: Vec::new(),
             optimize: Optimize::default(),
-            workers: 1,
-            scaling: Vec::new(),
             trace: None,
             metrics: None,
         }
     }
-}
-
-/// The worker counts `--parallel=N` measures for the scaling section:
-/// powers of two from 1 up to `workers`, plus `workers` itself when it is
-/// not a power of two. A sequential run (`workers <= 1`) has no curve.
-pub fn scaling_curve(workers: usize) -> Vec<usize> {
-    if workers <= 1 {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    let mut w = 1;
-    while w < workers {
-        out.push(w);
-        w *= 2;
-    }
-    out.push(workers);
-    out
 }
 
 /// Resolve the config's filters against the registry. Unknown workload
@@ -288,14 +262,12 @@ fn run_with(
     edb: &Edb,
     strategy: Strategy,
     optimize: Optimize,
-    workers: usize,
 ) -> Model {
     MonotonicEngine::with_options(
         p,
         EvalOptions {
             strategy,
             optimize,
-            workers,
             ..Default::default()
         },
     )
@@ -355,16 +327,6 @@ fn profile_with(
     report.finish()
 }
 
-/// One point on a cell's semi-naive scaling curve.
-#[derive(Clone, Debug)]
-pub struct ScalingPoint {
-    pub workers: usize,
-    pub stats: SampleStats,
-    /// One-worker median divided by this point's median (>1 = faster
-    /// than sequential). 1.0 by construction on the first point.
-    pub speedup: f64,
-}
-
 /// One (workload, size) cell: instance shape plus all three strategies.
 #[derive(Clone, Debug)]
 pub struct WorkloadMeasurement {
@@ -375,9 +337,6 @@ pub struct WorkloadMeasurement {
     /// agree tuple-for-tuple before this is recorded).
     pub tuples: usize,
     pub strategies: Vec<StrategyMeasurement>,
-    /// Semi-naive wall clock at each `BenchConfig::scaling` worker count
-    /// (empty when the run measured no curve).
-    pub scaling: Vec<ScalingPoint>,
 }
 
 fn measure_strategy(
@@ -389,7 +348,7 @@ fn measure_strategy(
     workload: &str,
     size: usize,
 ) -> (Model, StrategyMeasurement) {
-    let run = |p: &Program, edb: &Edb| run_with(p, edb, strategy, cfg.optimize, cfg.workers);
+    let run = |p: &Program, edb: &Edb| run_with(p, edb, strategy, cfg.optimize);
     for _ in 1..cfg.warmup.max(1) {
         std::hint::black_box(run(p, edb));
     }
@@ -474,48 +433,12 @@ pub fn run_workload(w: &Workload, size: usize, cfg: &BenchConfig) -> WorkloadMea
             s.derivations_per_sec = s.derivations as f64 / s.stats.median;
         }
     }
-    // The scaling curve: the semi-naive fixpoint re-timed at each
-    // requested worker count, each point's model checked against the
-    // sequential reference (determinism is part of what's measured).
-    let mut scaling = Vec::new();
-    for &workers in &cfg.scaling {
-        let run = || run_with(&p, &edb, Strategy::SemiNaive, cfg.optimize, workers);
-        std::hint::black_box(run()); // warm the point (thread pool, caches)
-        let mut samples = Vec::with_capacity(cfg.samples);
-        let mut model = None;
-        for _ in 0..cfg.samples.max(1) {
-            let (m, secs) = timed(run);
-            model = Some(m);
-            samples.push(secs);
-        }
-        assert_eq!(
-            reference,
-            model.expect("at least one sample").render(&p),
-            "{workers}-worker seminaive disagrees on {}/{size}",
-            w.name
-        );
-        scaling.push(ScalingPoint {
-            workers,
-            stats: sample_stats(&samples),
-            speedup: 0.0, // filled against the first point below
-        });
-    }
-    if let Some(base) = scaling.first().map(|pt| pt.stats.median) {
-        for pt in &mut scaling {
-            pt.speedup = if pt.stats.median > 0.0 {
-                base / pt.stats.median
-            } else {
-                0.0
-            };
-        }
-    }
     WorkloadMeasurement {
         workload: w.name.to_string(),
         size,
         edb_facts: edb.len(),
         tuples,
         strategies,
-        scaling,
     }
 }
 
@@ -557,9 +480,6 @@ pub struct BenchEnv {
     pub samples: usize,
     /// Names of the proven rewrites the run enabled (empty = plain run).
     pub optimize: Vec<&'static str>,
-    /// Worker count the main matrix actually evaluated with
-    /// (1 = sequential; `--parallel` resolves 0 before this is recorded).
-    pub workers: usize,
 }
 
 /// The maglog commit benchmarks run against (short hash, `-dirty` suffix
@@ -608,7 +528,6 @@ pub fn environment(cfg: &BenchConfig) -> BenchEnv {
         warmup: cfg.warmup,
         samples: cfg.samples,
         optimize: cfg.optimize.names(),
-        workers: maglog_engine::resolve_workers(cfg.workers),
     }
 }
 
@@ -622,7 +541,6 @@ pub fn render_v2(env: &BenchEnv, measurements: &[WorkloadMeasurement]) -> String
         ("cpus".into(), JsonValue::int(env.cpus as u64)),
         ("warmup".into(), JsonValue::int(env.warmup as u64)),
         ("samples".into(), JsonValue::int(env.samples as u64)),
-        ("workers".into(), JsonValue::int(env.workers as u64)),
         (
             "optimize".into(),
             JsonValue::Arr(env.optimize.iter().map(|n| JsonValue::str(*n)).collect()),
@@ -666,33 +584,13 @@ pub fn render_v2(env: &BenchEnv, measurements: &[WorkloadMeasurement]) -> String
                     (s.strategy.to_string(), JsonValue::Obj(fields))
                 })
                 .collect();
-            let mut fields = vec![
+            JsonValue::Obj(vec![
                 ("workload".into(), JsonValue::str(&m.workload)),
                 ("size".into(), JsonValue::int(m.size as u64)),
                 ("edb_facts".into(), JsonValue::int(m.edb_facts as u64)),
                 ("tuples".into(), JsonValue::int(m.tuples as u64)),
                 ("strategies".into(), JsonValue::Obj(strategies)),
-            ];
-            if !m.scaling.is_empty() {
-                fields.push((
-                    "scaling".into(),
-                    JsonValue::Arr(
-                        m.scaling
-                            .iter()
-                            .map(|pt| {
-                                JsonValue::Obj(vec![
-                                    ("workers".into(), JsonValue::int(pt.workers as u64)),
-                                    ("median_secs".into(), JsonValue::Num(pt.stats.median)),
-                                    ("min_secs".into(), JsonValue::Num(pt.stats.min)),
-                                    ("mad_secs".into(), JsonValue::Num(pt.stats.mad)),
-                                    ("speedup".into(), JsonValue::Num(pt.speedup)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-            }
-            JsonValue::Obj(fields)
+            ])
         })
         .collect();
     JsonValue::Obj(vec![
@@ -720,13 +618,8 @@ pub fn render_human(env: &BenchEnv, measurements: &[WorkloadMeasurement]) -> Str
     } else {
         format!(", optimize {}", env.optimize.join(","))
     };
-    let workers = if env.workers > 1 {
-        format!(", workers {}", env.workers)
-    } else {
-        String::new()
-    };
     let mut out = format!(
-        "maglog bench: commit {}, {}, {} cpus, warmup {}, samples {}{optimize}{workers}\n\n",
+        "maglog bench: commit {}, {}, {} cpus, warmup {}, samples {}{optimize}\n\n",
         env.commit, env.rustc, env.cpus, env.warmup, env.samples
     );
     out.push_str(&format!(
@@ -754,26 +647,6 @@ pub fn render_human(env: &BenchEnv, measurements: &[WorkloadMeasurement]) -> Str
                 } else {
                     "-".to_string()
                 },
-            ));
-        }
-        if !m.scaling.is_empty() {
-            let points: Vec<String> = m
-                .scaling
-                .iter()
-                .map(|pt| {
-                    format!(
-                        "{}w {} ({:.2}x)",
-                        pt.workers,
-                        fmt_secs(pt.stats.median),
-                        pt.speedup
-                    )
-                })
-                .collect();
-            out.push_str(&format!(
-                "{:<18} {:>5} scaling    {}\n",
-                m.workload,
-                m.size,
-                points.join("  ")
             ));
         }
     }
@@ -1125,47 +998,6 @@ mod tests {
     }
 
     #[test]
-    fn scaling_curve_is_the_power_of_two_ladder() {
-        assert!(scaling_curve(0).is_empty());
-        assert!(scaling_curve(1).is_empty());
-        assert_eq!(scaling_curve(2), [1, 2]);
-        assert_eq!(scaling_curve(4), [1, 2, 4]);
-        assert_eq!(scaling_curve(6), [1, 2, 4, 6]);
-        assert_eq!(scaling_curve(8), [1, 2, 4, 8]);
-    }
-
-    #[test]
-    fn scaling_sections_render_and_survive_baselines() {
-        // A 2-worker curve on the smallest shortest_path instance: real
-        // measurement, one sample — exercises the scaling loop's model
-        // equality check end to end.
-        let cfg = BenchConfig {
-            samples: 1,
-            warmup: 0,
-            workloads: vec!["shortest_path".into()],
-            sizes: vec![16],
-            workers: 2,
-            scaling: scaling_curve(2),
-            ..Default::default()
-        };
-        let m = run_workload(&WORKLOADS[0], 16, &cfg);
-        assert_eq!(
-            m.scaling.iter().map(|p| p.workers).collect::<Vec<_>>(),
-            [1, 2]
-        );
-        assert!((m.scaling[0].speedup - 1.0).abs() < 1e-9);
-        assert!(m.scaling.iter().all(|p| p.stats.median > 0.0));
-        let env = environment(&cfg);
-        assert_eq!(env.workers, 2);
-        let human = render_human(&env, std::slice::from_ref(&m));
-        assert!(human.contains("workers 2"), "{human}");
-        assert!(human.contains("scaling"), "{human}");
-        // Baselines still parse documents carrying the scaling section.
-        let base = parse_baseline(&render_v2(&env, &[m])).unwrap();
-        assert_eq!(base.cells.len(), 3);
-    }
-
-    #[test]
     fn registry_builds_deterministic_instances() {
         let w = &WORKLOADS[0];
         let (_, a) = w.build(16);
@@ -1200,7 +1032,6 @@ mod tests {
             edb_facts: 48,
             tuples: 120,
             strategies: vec![strat("seminaive"), strat("naive"), strat("greedy")],
-            scaling: Vec::new(),
         }
     }
 
@@ -1213,33 +1044,10 @@ mod tests {
             warmup: 1,
             samples: 5,
             optimize: vec!["prem"],
-            workers: 4,
         };
         let mut m = fake_measurement(0.0125);
         m.strategies[0].pruned = 42;
         m.strategies[0].derivations_unoptimized = Some(50);
-        m.scaling = vec![
-            ScalingPoint {
-                workers: 1,
-                stats: SampleStats {
-                    median: 0.0125,
-                    min: 0.012,
-                    mad: 0.0005,
-                    ..Default::default()
-                },
-                speedup: 1.0,
-            },
-            ScalingPoint {
-                workers: 4,
-                stats: SampleStats {
-                    median: 0.005,
-                    min: 0.0048,
-                    mad: 0.0002,
-                    ..Default::default()
-                },
-                speedup: 2.5,
-            },
-        ];
         let doc = render_v2(&env, &[m]);
         assert!(doc.contains("\"schema\": \"maglog-bench-v2\""));
         assert!(doc.contains("\"median_secs\": 0.0125"));
@@ -1247,9 +1055,6 @@ mod tests {
         assert!(doc.contains("\"p90_secs\""));
         assert!(doc.contains("\"p99_secs\""));
         assert!(doc.contains("\"peak_heap_bytes\": 4096"));
-        assert!(doc.contains("\"workers\": 4"));
-        assert!(doc.contains("\"scaling\""));
-        assert!(doc.contains("\"speedup\": 2.5"));
         let parsed = jsonish::parse(&doc).unwrap();
         let opt = parsed.get("environment").unwrap().get("optimize").unwrap();
         let names: Vec<_> = opt
@@ -1276,6 +1081,34 @@ mod tests {
         assert_eq!(cell.peak_heap_bytes, Some(4096));
         assert_eq!(cell.mad_secs, Some(0.0125 * 0.05));
         assert_eq!(base.cells.len(), 3);
+    }
+
+    #[test]
+    fn documents_with_the_old_scaling_section_still_read_as_baselines() {
+        // Earlier writers recorded `environment.workers` and a per-cell
+        // `scaling` curve; readers ignore both.
+        let doc = r#"{
+          "schema": "maglog-bench-v2",
+          "environment": {"commit": "abc1234", "rustc": "rustc 1.75.0", "cpus": 1,
+                          "warmup": 1, "samples": 5, "workers": 4, "optimize": []},
+          "workloads": [
+            {"workload": "shortest_path", "size": 16, "edb_facts": 48, "tuples": 120,
+             "strategies": {
+               "seminaive": {"rounds": 4, "firings": 9, "derivations": 8,
+                 "median_secs": 0.001, "min_secs": 0.0009, "mad_secs": 0.00002}},
+             "scaling": [
+               {"workers": 1, "median_secs": 0.001, "min_secs": 0.0009,
+                "mad_secs": 0.00002, "speedup": 1.0}]}
+          ]
+        }"#;
+        let base = parse_baseline(doc).unwrap();
+        assert_eq!(base.cells.len(), 1);
+        let cell = base
+            .cells
+            .get(&("shortest_path".into(), 16, "seminaive".into()))
+            .unwrap();
+        assert_eq!(cell.median_secs, 0.001);
+        assert_eq!(cell.firings, Some(9));
     }
 
     #[test]
@@ -1324,7 +1157,6 @@ mod tests {
             warmup: 1,
             samples: 1,
             optimize: Vec::new(),
-            workers: 1,
         };
         // Baseline identical to the run: within the gate.
         let base = parse_baseline(&render_v2(&env, std::slice::from_ref(&m))).unwrap();
@@ -1375,7 +1207,6 @@ mod tests {
             warmup: 1,
             samples: 1,
             optimize: Vec::new(),
-            workers: 1,
         };
         // The baseline run did less work: fewer firings, smaller heap.
         let mut slow = fake_measurement(0.005);
@@ -1432,20 +1263,9 @@ mod tests {
             warmup: 1,
             samples: 3,
             optimize: Vec::new(),
-            workers: 1,
         };
         let mut m = fake_measurement(0.010);
         m.strategies[0].pruned = 7;
-        m.scaling = vec![ScalingPoint {
-            workers: 1,
-            stats: SampleStats {
-                median: 0.010,
-                min: 0.009,
-                mad: 0.0005,
-                ..Default::default()
-            },
-            speedup: 1.0,
-        }];
         let doc = render_v2(&env, &[m]);
         let report = maglog_engine::diff_texts(&doc, &doc).unwrap();
         assert!(report.is_clean(), "{report:?}");

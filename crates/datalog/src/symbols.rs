@@ -5,8 +5,7 @@
 //! fixpoint evaluation. The table uses interior mutability so that callers
 //! holding a shared `&Program` (e.g. while loading EDB facts) can still
 //! intern new constants. The interior mutability is an `RwLock` (not a
-//! `RefCell`) so a `Program` is `Sync` and can be shared by the parallel
-//! evaluator's worker threads; evaluation itself only reads.
+//! `RefCell`) so a `Program` is `Sync`; evaluation itself only reads.
 
 use std::collections::HashMap;
 use std::fmt;

@@ -154,85 +154,6 @@ impl Accumulator {
         }
     }
 
-    /// Combine a partial fold into this one: `a.merge(b)` leaves `a` in
-    /// the state it would have reached had `b`'s elements been pushed
-    /// after `a`'s, in `b`'s push order. This is the `merge` half of the
-    /// create/process/**merge**/convert interface parallel workers need:
-    /// each shard folds its own partition and the round barrier combines
-    /// the partial states.
-    ///
-    /// Exactness: for the lattice folds (`min`/`max`/`and`/`or`/`union`/
-    /// `intersect`) and `count`, merge is *bit-for-bit* equal to the
-    /// sequential fold, and associative/commutative (idempotent too,
-    /// ignoring `count`'s divisor — see the law tests). For the additive
-    /// folds (`sum`/`halfsum`/`avg`/`product`) merge adds/multiplies the
-    /// partial states, which reassociates IEEE-754 operations: equal to
-    /// the sequential fold up to float rounding, exact on integral data.
-    /// The parallel evaluator therefore never splits one group's fold
-    /// across workers (groups are always folded whole, in enumeration
-    /// order); `merge` combines *group states for distinct keys'
-    /// occurrences* and the lattice-law tests certify the algebra.
-    ///
-    /// Winner attribution shifts `other`'s indices by `self.count`, so
-    /// provenance witnesses keep pointing at the decisive element of the
-    /// concatenated push sequence.
-    pub fn merge(&mut self, other: Accumulator) {
-        debug_assert_eq!(self.func, other.func, "merge requires matching functions");
-        let offset = self.count;
-        self.count += other.count;
-        if matches!(self.func, AggFunc::Count) {
-            return; // count ignores element types; the divisor is merged
-        }
-        match (&mut self.state, other.state) {
-            (State::Undefined, _) => {}
-            (s, State::Undefined) => *s = State::Undefined,
-            (State::Num(a), State::Num(b)) => match self.func {
-                AggFunc::Min => {
-                    if b < *a {
-                        *a = b;
-                        self.winner = other.winner.map(|i| i + offset);
-                    }
-                }
-                AggFunc::Max => {
-                    if b > *a {
-                        *a = b;
-                        self.winner = other.winner.map(|i| i + offset);
-                    }
-                }
-                AggFunc::Sum | AggFunc::HalfSum | AggFunc::Avg => *a = *a + b,
-                AggFunc::Product => *a = Real::new(a.get() * b.get()),
-                _ => unreachable!("numeric state on non-numeric func"),
-            },
-            (State::Bool(a), State::Bool(b)) => match self.func {
-                AggFunc::Or => {
-                    if b && !*a {
-                        *a = true;
-                        self.winner = other.winner.map(|i| i + offset);
-                    }
-                }
-                AggFunc::And => {
-                    if !b && *a {
-                        *a = false;
-                        self.winner = other.winner.map(|i| i + offset);
-                    }
-                }
-                _ => unreachable!("boolean state on non-boolean func"),
-            },
-            (State::Union(a), State::Union(b)) => a.extend(b),
-            (State::Intersect(a), State::Intersect(b)) => {
-                if let Some(s) = b {
-                    match a {
-                        Some(out) => out.retain(|x| s.contains(x)),
-                        None => *a = Some(s),
-                    }
-                }
-            }
-            // Mixed concrete states cannot arise from one function; keep
-            // the type-error semantics of `push` for unchecked inputs.
-            _ => self.state = State::Undefined,
-        }
-    }
-
     /// The aggregate's value, or `None` if undefined for this input (empty
     /// `avg`/`intersect`, or a type mismatch).
     pub fn finish(self) -> Option<Value> {

@@ -1,5 +1,5 @@
 //! A counting global allocator: wraps [`std::alloc::System`] and keeps
-//! thread-safe current / peak / cumulative byte counters.
+//! per-thread live / peak and process-wide cumulative byte counters.
 //!
 //! Binaries that want memory figures install it once:
 //!
@@ -13,31 +13,41 @@
 //! ([`crate::profile::MetricsSink`], the run-summary phase split, the
 //! bench harness) treats zero as "not wired".
 //!
-//! [`peak_bytes`] is monotone until [`reset_peak`] re-seats it at the
-//! current level; scope a phase by resetting first and reading after.
-//! The counters are relaxed atomics: cross-thread peaks can be off by a
-//! few in-flight allocations, which is noise at the scales reported.
+//! Live and peak bytes are kept per thread: an evaluation runs on one
+//! thread, so [`current_bytes`] / [`peak_bytes`] read on that thread
+//! describe that evaluation alone, not whatever other threads (a
+//! concurrent test, the `/metrics` server) allocate meanwhile. A block
+//! freed on a thread other than the one that allocated it lowers the
+//! freeing thread's live count, which may therefore go negative; the
+//! readers clamp at zero. [`peak_bytes`] is monotone until [`reset_peak`]
+//! re-seats it at the current level; scope a phase by resetting first
+//! and reading after. The cumulative total is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-static CURRENT: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
 static TOTAL: AtomicUsize = AtomicUsize::new(0);
 
-/// Live heap bytes right now (0 if the allocator is not installed).
+/// Live heap bytes of the calling thread right now (0 if the allocator
+/// is not installed).
 pub fn current_bytes() -> usize {
-    CURRENT.load(Relaxed)
+    LIVE.with(Cell::get).max(0) as usize
 }
 
-/// High-water mark of live heap bytes since start or the last
-/// [`reset_peak`] (0 if the allocator is not installed).
+/// High-water mark of the calling thread's live heap bytes since it
+/// started or last called [`reset_peak`] (0 if the allocator is not
+/// installed).
 pub fn peak_bytes() -> usize {
-    PEAK.load(Relaxed)
+    PEAK.with(Cell::get).max(0) as usize
 }
 
-/// Cumulative bytes ever allocated — a phase's delta measures its
-/// allocation traffic even when everything is freed again.
+/// Cumulative bytes ever allocated by any thread — a phase's delta
+/// measures its allocation traffic even when everything is freed again.
 pub fn total_allocated_bytes() -> usize {
     TOTAL.load(Relaxed)
 }
@@ -48,24 +58,31 @@ pub fn installed() -> bool {
     TOTAL.load(Relaxed) > 0
 }
 
-/// Re-seat the peak at the current level, so the next [`peak_bytes`] read
-/// reports the high-water mark of the scope that follows.
+/// Re-seat the calling thread's peak at its current level, so the next
+/// [`peak_bytes`] read reports the high-water mark of the scope that
+/// follows.
 pub fn reset_peak() {
-    PEAK.store(CURRENT.load(Relaxed), Relaxed);
+    PEAK.with(|peak| peak.set(LIVE.with(Cell::get)));
 }
 
+// `Layout` caps sizes at `isize::MAX`, so the casts below are lossless.
+// `try_with` because the allocator can run while a thread's locals are
+// being torn down; such allocations go uncounted per thread.
 fn count_alloc(size: usize) {
-    let now = CURRENT.fetch_add(size, Relaxed) + size;
     TOTAL.fetch_add(size, Relaxed);
-    PEAK.fetch_max(now, Relaxed);
+    let _ = LIVE.try_with(|live| {
+        let now = live.get().saturating_add(size as isize);
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
 }
 
 fn count_dealloc(size: usize) {
-    CURRENT.fetch_sub(size, Relaxed);
+    let _ = LIVE.try_with(|live| live.set(live.get().saturating_sub(size as isize)));
 }
 
 /// The counting allocator itself. A unit struct so installing it is a
-/// one-liner; all state is in module-level atomics.
+/// one-liner; all state is in module-level counters.
 pub struct CountingAlloc;
 
 // SAFETY: delegates every operation to `System` unchanged; the counters

@@ -32,8 +32,7 @@
 //!   between adjacent buckets is not reported as a shift.
 //!
 //! Each comparison also tracks direction: for most figures higher is
-//! worse, but throughput (`*_per_sec`) and scaling `speedup` improve
-//! upward, and the ranking/gating factor ([`DiffEntry::severity`]) is
+//! worse, but throughput (`*_per_sec`) improves upward, and the ranking/gating factor ([`DiffEntry::severity`]) is
 //! direction-corrected so a 2× throughput *drop* and a 2× latency *rise*
 //! rank equally.
 
@@ -130,8 +129,6 @@ pub enum Figure {
     Count,
     /// A throughput figure (`*_per_sec`).
     Rate,
-    /// A dimensionless factor (speedup, shard imbalance).
-    Ratio,
 }
 
 impl Figure {
@@ -143,7 +140,6 @@ impl Figure {
             Figure::Bytes => "bytes",
             Figure::Count => "count",
             Figure::Rate => "per_second",
-            Figure::Ratio => "ratio",
         }
     }
 
@@ -168,7 +164,6 @@ impl Figure {
                     format!("{v:.0}/s")
                 }
             }
-            Figure::Ratio => format!("{v:.2}"),
         }
     }
 }
@@ -226,7 +221,7 @@ pub struct DiffReport {
     /// Compared figures whose delta stayed within the noise bound.
     pub below_noise: usize,
     /// Configuration differences that frame every other delta (commit,
-    /// sample counts, worker counts, program label). Never gated on.
+    /// sample counts, program label). Never gated on.
     pub context: Vec<String>,
     /// Significant changes for the worse, worst first.
     pub regressions: Vec<DiffEntry>,
@@ -690,35 +685,6 @@ fn diff_strategy_profile(d: &mut Builder, strat: &str, b: &JsonValue, a: &JsonVa
         }
     }
 
-    // Parallel section: workers/merges are deterministic; shard imbalance
-    // (max/mean over shard_firings) summarizes the firing distribution;
-    // barrier_wait_nanos is wall clock and skipped.
-    let imbalance = |v: &JsonValue| -> Option<f64> {
-        let shards = v.get("shard_firings")?.as_arr()?;
-        let vals: Vec<f64> = shards.iter().filter_map(JsonValue::as_f64).collect();
-        let max = vals.iter().cloned().fold(0.0_f64, f64::max);
-        let mean = vals.iter().sum::<f64>() / vals.len().max(1) as f64;
-        (mean > 0.0).then(|| max / mean)
-    };
-    match (b.get("parallel"), a.get("parallel")) {
-        (Some(qb), Some(qa)) => {
-            let path = format!("{tag} parallel");
-            for key in ["workers", "rounds", "merges"] {
-                d.num(&path, key, EXACT_COUNT, get_f64(qb, key), get_f64(qa, key));
-            }
-            d.num(
-                &path,
-                "shard_imbalance",
-                Lens::frac(Figure::Ratio, 1e-3),
-                imbalance(qb),
-                imbalance(qa),
-            );
-        }
-        (Some(_), None) => d.only_before.push(format!("{tag} parallel section")),
-        (None, Some(_)) => d.only_after.push(format!("{tag} parallel section")),
-        (None, None) => {}
-    }
-
     // Histogram summary blocks: counts are exact, quantiles get the
     // bucket-resolution floor, max (an extreme order statistic) skipped.
     let hist_b = index_by(b.get("histograms"), "metric");
@@ -858,7 +824,7 @@ fn diff_bench(b: &JsonValue, a: &JsonValue) -> DiffReport {
     // Environment differences are context: they explain deltas (different
     // commit, different sample count) without being deltas themselves.
     if let (Some(eb), Some(ea)) = (b.get("environment"), a.get("environment")) {
-        for key in ["commit", "rustc", "cpus", "warmup", "samples", "workers"] {
+        for key in ["commit", "rustc", "cpus", "warmup", "samples"] {
             let text = |v: &JsonValue| match v.get(key) {
                 Some(JsonValue::Str(s)) => s.clone(),
                 Some(JsonValue::Num(n)) => format!("{}", *n as i64),
@@ -899,40 +865,6 @@ fn diff_bench(b: &JsonValue, a: &JsonValue) -> DiffReport {
                 |s| format!("{cell} {s}"),
                 |d, strat, sb, sa| {
                     diff_strategy_bench(d, &format!("{cell} {strat}"), sb, sa);
-                },
-            );
-            // Scaling curve, matched per worker count.
-            let points = |w| index_by(w, "workers");
-            diff_keyed(
-                d,
-                &points(wb.get("scaling")),
-                &points(wa.get("scaling")),
-                |w| format!("{cell} scaling {w}w"),
-                |d, workers, pb, pa| {
-                    let path = format!("{cell} scaling {workers}w");
-                    let mad = get_f64(pb, "mad_secs")
-                        .unwrap_or(0.0)
-                        .max(get_f64(pa, "mad_secs").unwrap_or(0.0));
-                    let (vb, va) = both(pb, pa, "median_secs");
-                    d.num(&path, "median_secs", Lens::exact(Figure::Seconds).abs(mad), vb, va);
-                    let rel_mad = |p: &JsonValue| {
-                        let med = get_f64(p, "median_secs").unwrap_or(0.0);
-                        if med > 0.0 {
-                            get_f64(p, "mad_secs").unwrap_or(0.0) / med
-                        } else {
-                            0.0
-                        }
-                    };
-                    let (ub, ua) = both(pb, pa, "speedup");
-                    d.num(
-                        &path,
-                        "speedup",
-                        // Speedup is a ratio of two medians: both points'
-                        // relative MADs contribute to its noise.
-                        Lens::frac(Figure::Ratio, rel_mad(pb) + rel_mad(pa)).better_high(),
-                        ub,
-                        ua,
-                    );
                 },
             );
         },
@@ -1162,11 +1094,12 @@ mod tests {
       ]
     }"#;
 
-    /// BENCH_A with a 2x median, +200 firings, and a throughput drop.
+    /// BENCH_A with a 2x median, +200 firings, a throughput drop, and a
+    /// different `environment.workers` (an old field, ignored).
     const BENCH_B: &str = r#"{
       "schema": "maglog-bench-v2",
       "environment": {"commit": "bbb2222", "rustc": "rustc 1.75.0", "cpus": 4,
-                      "warmup": 1, "samples": 5, "workers": 1, "optimize": []},
+                      "warmup": 1, "samples": 5, "workers": 4, "optimize": []},
       "workloads": [
         {"workload": "shortest_path", "size": 16, "edb_facts": 48, "tuples": 120,
          "strategies": {
@@ -1292,12 +1225,14 @@ mod tests {
             .unwrap();
         assert!(tput.after < tput.before);
         assert!((tput.severity() - 2.0).abs() < 1e-9);
-        // Unchanged speedup stays out of both lists.
+        // Documents written with the old `scaling` section and
+        // `environment.workers` still read; both are ignored.
         assert!(!report
             .regressions
             .iter()
             .chain(&report.improvements)
-            .any(|e| e.metric == "speedup"));
+            .any(|e| e.path.contains("scaling") || e.metric == "speedup"));
+        assert!(!report.context.iter().any(|c| c.contains("workers")));
         assert!(report.improvements.is_empty(), "{:?}", report.improvements);
     }
 
@@ -1406,8 +1341,8 @@ mod tests {
         assert_eq!(
             human,
             "maglog diff (maglog-bench-v2): before.json -> after.json\n\
-             compared 17 figure(s): 1 regression(s), 0 improvement(s), \
-             16 unchanged, 0 below noise\n\
+             compared 13 figure(s): 1 regression(s), 0 improvement(s), \
+             12 unchanged, 0 below noise\n\
              regressions (worst first):\n\
              \x20 shortest_path/16 seminaive median_secs: 1.0 ms -> 2.0 ms \
              (2.00x, noise ±20.0 µs)\n",
@@ -1425,7 +1360,7 @@ mod tests {
         let doc = jsonish::parse(&json).unwrap();
         assert_eq!(doc.get("schema").and_then(JsonValue::as_str), Some(DIFF_SCHEMA));
         assert_eq!(doc.get("kind").and_then(JsonValue::as_str), Some("maglog-bench-v2"));
-        assert_eq!(doc.get("compared").and_then(JsonValue::as_f64), Some(17.0));
+        assert_eq!(doc.get("compared").and_then(JsonValue::as_f64), Some(13.0));
         let regs = doc.get("regressions").and_then(JsonValue::as_arr).unwrap();
         assert_eq!(regs.len(), 1);
         let r = &regs[0];

@@ -15,7 +15,7 @@
 //! classical semi-naive evaluation and is benchmarked against naive
 //! iteration as an ablation.
 //!
-//! Every firing — naive, semi-naive, greedy or parallel — runs the rule's
+//! Every firing — naive, semi-naive or greedy — runs the rule's
 //! slot program (see [`crate::plan`]) on a reused `Frame`: one
 //! `Option<Value>` cell per rule variable, a trail of the slots bound
 //! since the firing began (backtracking truncates it to a mark), and
@@ -44,12 +44,9 @@ use maglog_datalog::graph::{components, Component};
 use maglog_datalog::{
     AggEq, AggFunc, Atom, BinOp, CmpOp, Expr, Literal, Pred, Program, Rule, Term, Var,
 };
-use crate::par::{self, FireTally};
-use crate::trace::{NameRef, Ph, Tracer, MAIN_LANE};
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::{mpsc, Arc, RwLock};
-use std::time::Instant;
+use std::sync::Arc;
 
 /// Per-round dedup of aggregate-driver re-evaluations: per (exec slot,
 /// driver discriminator), the seed values seen so far, in the driver's
@@ -151,12 +148,6 @@ pub struct EvalOptions {
     /// proof (premappability, uniform stable binding) succeeds. The
     /// computed model is identical with or without them.
     pub optimize: Optimize,
-    /// Worker threads for the sharded parallel evaluator: `1` (the
-    /// default) evaluates sequentially, `0` means "use available
-    /// parallelism", and `N > 1` runs each non-greedy component's rounds
-    /// across `N` workers. The computed model — tuples and costs — is
-    /// identical at every worker count; see `docs/parallelism.md`.
-    pub workers: usize,
 }
 
 impl Default for EvalOptions {
@@ -167,7 +158,6 @@ impl Default for EvalOptions {
             check_consistency: true,
             allow_unchecked: false,
             optimize: Optimize::default(),
-            workers: 1,
         }
     }
 }
@@ -254,10 +244,6 @@ impl<'p> MonotonicEngine<'p> {
         if options.strategy == Strategy::Greedy {
             options.strategy = Strategy::SemiNaive;
         }
-        // Provenance capture threads per-derivation trails through the
-        // firing order; clamp to the sequential evaluator (the model is
-        // identical either way, like the greedy clamp above).
-        options.workers = 1;
         let engine = MonotonicEngine {
             program: self.program,
             options,
@@ -631,30 +617,6 @@ impl<'p> MonotonicEngine<'p> {
             );
         }
 
-        // The sharded parallel evaluator covers the naive and semi-naive
-        // strategies. Provenance capture threads derivation trails through
-        // the firing order, so captured runs stay sequential (their entry
-        // point also clamps `workers`); greedy components settled above.
-        let workers = if C::ENABLED {
-            1
-        } else {
-            par::resolve_workers(self.options.workers)
-        };
-        if workers > 1 {
-            return self.eval_component_parallel(
-                db,
-                cdb,
-                &execs,
-                ci,
-                prune,
-                &mut rule_pushes,
-                &agg_counters,
-                stats,
-                sink,
-                workers,
-            );
-        }
-
         let mut rounds = 0usize;
         let mut component_pruned = 0u64;
         let mut frames: Vec<Frame> = execs.iter().map(Frame::for_exec).collect();
@@ -717,7 +679,6 @@ impl<'p> MonotonicEngine<'p> {
                                     stats,
                                     sink,
                                     cap,
-                                    None,
                                 )?;
                             }
                         }
@@ -766,9 +727,7 @@ impl<'p> MonotonicEngine<'p> {
     /// Join one round's buffered derivations into the database, emitting
     /// per-derivation insert outcomes and returning the next round's
     /// delta. The buffered `Arc` keys flow straight into the relation and
-    /// the delta — no re-cloning of tuple storage. Shared by the
-    /// sequential round loop and the parallel barrier (which applies the
-    /// merged shard buffers under the database write lock).
+    /// the delta — no re-cloning of tuple storage.
     fn apply_round<S: EventSink, C: Capture>(
         &self,
         db: &mut Interp,
@@ -779,7 +738,7 @@ impl<'p> MonotonicEngine<'p> {
     ) -> Delta {
         let mut new_delta = Delta::new();
         for ((pred, key), entry) in derived {
-            let DerivedEntry { cost, slot, .. } = entry;
+            let DerivedEntry { cost, slot } = entry;
             let spec = self.program.cost_spec(pred);
             let domain = spec.map(|c| RuntimeDomain::new(c.domain));
             // For default-value predicates, an explicit entry at the
@@ -812,369 +771,6 @@ impl<'p> MonotonicEngine<'p> {
             sink.insert_outcome(execs[slot].ri, pred, outcome);
         }
         new_delta
-    }
-
-    /// Evaluate one component's rounds across a pool of worker threads
-    /// (`--parallel[=N]`), reaching the same fixpoint as the sequential
-    /// round loop.
-    ///
-    /// The database moves into an `RwLock` for the component: workers
-    /// take read locks while firing (the firing phase never writes), the
-    /// orchestrator takes the write lock for the apply phase, and the
-    /// round barrier separates the two, so the lock is never contended.
-    /// Every round, each worker walks the full delta but fires only the
-    /// seeds its shard owns ([`par::shard_of`]; full rounds round-robin
-    /// exec slots instead), so the union of worker firings is exactly the
-    /// sequential firing set and worker-local seed dedup is global dedup.
-    /// At the barrier the per-worker round buffers merge in worker order
-    /// ([`merge_worker_entry`]), rule-fire events replay into the real
-    /// sink in exec order, and the merged buffer is applied exactly as a
-    /// sequential round's would be.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_component_parallel<S: EventSink>(
-        &self,
-        db: &mut Interp,
-        cdb: &BTreeSet<Pred>,
-        execs: &[RuleExec<'_>],
-        ci: usize,
-        prune: bool,
-        rule_pushes: &mut [u64],
-        agg_counters: &AggCounters,
-        stats: &mut EvalStats,
-        sink: &mut S,
-        workers: usize,
-    ) -> Result<usize, EvalError> {
-        let db_lock = RwLock::new(std::mem::take(db));
-        // Span recording is opt-in per sink; `None` (the default) keeps
-        // every clock read out of the worker loop and the barrier.
-        let tracer = sink.worker_tracer();
-        // Likewise latency recording: a meter means workers time their
-        // firings into local histograms, merged here at the barrier.
-        let meter = sink.worker_meter();
-        let result = std::thread::scope(|s| {
-            let (res_tx, res_rx) = mpsc::channel::<WorkerRound>();
-            let mut job_txs = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let (tx, rx) = mpsc::channel::<ParJob>();
-                job_txs.push(tx);
-                let res_tx = res_tx.clone();
-                let db_ref = &db_lock;
-                let wt = tracer.clone();
-                let wm = meter.clone();
-                s.spawn(move || {
-                    self.parallel_worker(
-                        db_ref, execs, w, workers, prune, wt, wm, rx, res_tx,
-                    )
-                });
-            }
-            drop(res_tx);
-
-            let mut rounds = 0usize;
-            let mut component_pruned = 0u64;
-            let mut delta: Arc<Delta> = Arc::new(Delta::new());
-            loop {
-                if rounds >= self.options.max_rounds {
-                    return Err(EvalError::NonTermination {
-                        rounds,
-                        component: 0,
-                        preds: cdb.iter().map(|p| self.program.pred_name(*p)).collect(),
-                        last_delta: delta.values().map(Vec::len).sum(),
-                    });
-                }
-                let full = rounds == 0 || self.options.strategy == Strategy::Naive;
-                sink.round_start(rounds + 1, full);
-                for tx in &job_txs {
-                    tx.send(ParJob {
-                        round: rounds,
-                        full,
-                        delta: Arc::clone(&delta),
-                    })
-                    .expect("worker exited mid-component");
-                }
-
-                // Round barrier: one result per worker. The wait is
-                // measured from the first arrival — time the orchestrator
-                // spends blocked on stragglers, i.e. shard imbalance.
-                let mut results: Vec<WorkerRound> = Vec::with_capacity(workers);
-                let mut first_arrival: Option<Instant> = None;
-                while results.len() < workers {
-                    let r = res_rx.recv().expect("worker pool hung up mid-round");
-                    debug_assert_eq!(r.round, rounds, "barrier received a stale round");
-                    first_arrival.get_or_insert_with(Instant::now);
-                    results.push(r);
-                }
-                let barrier_wait_nanos = first_arrival
-                    .map(|t| t.elapsed().as_nanos() as u64)
-                    .unwrap_or(0);
-                let barrier_done = tracer.as_ref().map(|t| t.now());
-                let meter_done = meter.as_ref().map(|m| m.now_nanos());
-                results.sort_by_key(|r| r.worker);
-                // The lowest-indexed worker's error wins: deterministic
-                // for a fixed pool size.
-                if let Some(e) = results.iter_mut().find_map(|r| r.error.take()) {
-                    return Err(e);
-                }
-                // Worker lanes: each shard's fire span plus the wait from
-                // its last firing to barrier collection, pushed in worker
-                // order so parallel traces are push-order deterministic.
-                if let (Some(t), Some(done)) = (&tracer, barrier_done) {
-                    for r in &results {
-                        if let Some(span) = r.fire_span {
-                            t.worker_round_spans(r.worker, span, done);
-                        }
-                    }
-                }
-                // Worker latency samples: fill in the barrier wait (time
-                // from each shard's last firing to barrier collection)
-                // and merge each worker's local histograms into the sink,
-                // in worker order so delivery is deterministic.
-                if let Some(done) = meter_done {
-                    for r in &mut results {
-                        if let Some(mut sample) = r.metrics.take() {
-                            sample.wait_nanos = done.saturating_sub(sample.fire_end_nanos);
-                            sink.worker_sample(&sample);
-                        }
-                    }
-                }
-
-                let shard_sizes: Vec<usize> =
-                    results.iter().map(|r| r.firings as usize).collect();
-                for r in &results {
-                    stats.firings += r.firings;
-                    stats.pruned += r.pruned;
-                    component_pruned += r.pruned;
-                    for (slot, n) in r.pushes.iter().enumerate() {
-                        rule_pushes[slot] += n;
-                    }
-                    agg_counters.groups.set(agg_counters.groups.get() + r.groups);
-                    agg_counters
-                        .elements
-                        .set(agg_counters.elements.get() + r.elements);
-                    agg_counters
-                        .peak_bytes
-                        .set(agg_counters.peak_bytes.get().max(r.peak_bytes));
-                }
-                // Replay rule-fire events in exec order so metrics sinks
-                // count firings exactly as sequentially (per-firing wall
-                // time is not meaningful under interleaving; span sinks
-                // already hold the real timings on the worker lanes).
-                for exec in execs {
-                    let fired: u64 = results
-                        .iter()
-                        .map(|r| r.fired.get(&exec.ri).copied().unwrap_or(0))
-                        .sum();
-                    if fired > 0 {
-                        sink.rule_firings(exec.ri, fired);
-                    }
-                }
-
-                // Merge the shard buffers in worker order.
-                let merge_start = tracer.as_ref().map(|t| t.now());
-                use std::collections::hash_map::Entry;
-                let mut merged: HashMap<(Pred, Arc<Tuple>), DerivedEntry> = HashMap::new();
-                let mut merges = 0u64;
-                for r in results {
-                    for (k, entry) in r.entries {
-                        match merged.entry(k) {
-                            Entry::Vacant(v) => {
-                                v.insert(entry);
-                            }
-                            Entry::Occupied(mut o) => {
-                                merges += 1;
-                                let (pred, key) = (o.key().0, Arc::clone(&o.key().1));
-                                merge_worker_entry(
-                                    self.program,
-                                    self.options.check_consistency,
-                                    pred,
-                                    &key,
-                                    o.get_mut(),
-                                    entry,
-                                )?;
-                            }
-                        }
-                    }
-                }
-                if let (Some(t), Some(start)) = (&tracer, merge_start) {
-                    let end = t.now();
-                    t.push_at(start, MAIN_LANE, Ph::Begin, "worker", NameRef::Static("merge"), Vec::new());
-                    t.push_at(end, MAIN_LANE, Ph::End, "worker", NameRef::Static("merge"), Vec::new());
-                }
-                sink.parallel_round(rounds + 1, workers, &shard_sizes, merges, barrier_wait_nanos);
-
-                let derived_count = merged.len();
-                stats.derivations += derived_count as u64;
-                let new_delta = {
-                    let mut guard = db_lock.write().unwrap();
-                    self.apply_round(&mut guard, merged, execs, sink, &mut NoCapture)
-                };
-
-                rounds += 1;
-                let changed: usize = new_delta.values().map(Vec::len).sum();
-                for (pred, keys) in &new_delta {
-                    sink.delta(*pred, keys.len());
-                }
-                sink.round_end(rounds, derived_count, changed);
-                if new_delta.is_empty() {
-                    for (slot, exec) in execs.iter().enumerate() {
-                        sink.rule_derivations(exec.ri, rule_pushes[slot]);
-                    }
-                    sink.aggregate_totals(
-                        agg_counters.groups.get(),
-                        agg_counters.elements.get(),
-                        agg_counters.peak_bytes.get(),
-                    );
-                    if component_pruned > 0 {
-                        sink.pruned(ci, component_pruned);
-                    }
-                    sink.component_end(ci, rounds);
-                    return Ok(rounds);
-                }
-                delta = Arc::new(new_delta);
-            }
-        });
-        *db = db_lock
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        result
-    }
-
-    /// One worker thread's loop: for each round job, fire the shard's
-    /// slice of the work against a read-locked database view into a
-    /// worker-local round buffer, and send the buffer plus telemetry to
-    /// the barrier. Exits when the job channel closes (fixpoint or
-    /// error).
-    #[allow(clippy::too_many_arguments)]
-    fn parallel_worker(
-        &self,
-        db_lock: &RwLock<Interp>,
-        execs: &[RuleExec<'_>],
-        me: usize,
-        workers: usize,
-        prune: bool,
-        tracer: Option<Tracer>,
-        meter: Option<crate::metrics::Meter>,
-        jobs: mpsc::Receiver<ParJob>,
-        results: mpsc::Sender<WorkerRound>,
-    ) {
-        let mut frames: Vec<Frame> = execs.iter().map(Frame::for_exec).collect();
-        while let Ok(job) = jobs.recv() {
-            let fire_start = tracer.as_ref().map(|t| t.now());
-            let meter_start = meter.as_ref().map(|m| m.now_nanos());
-            let mut pushes = vec![0u64; execs.len()];
-            let mut tally = FireTally::with_meter(meter.clone());
-            let mut wstats = EvalStats::default();
-            let agg = AggCounters::default();
-            let mut error = None;
-            let pruned;
-            let entries;
-            {
-                let db = db_lock.read().unwrap();
-                let ctx = Ctx {
-                    program: self.program,
-                    db: &db,
-                    agg: &agg,
-                };
-                let mut derived = RoundBuffer::new(
-                    self.program,
-                    self.options.check_consistency,
-                    &mut pushes,
-                );
-                derived.prune = prune;
-                let fired: Result<(), EvalError> = if job.full {
-                    // Full rounds have no seeds to shard: round-robin the
-                    // exec slots instead.
-                    execs
-                        .iter()
-                        .enumerate()
-                        .filter(|(slot, _)| slot % workers == me)
-                        .try_for_each(|(slot, exec)| {
-                            wstats.firings += 1;
-                            tally.rule_fire_start(exec.ri);
-                            derived.current = slot;
-                            let fired = fire_full(
-                                &ctx,
-                                exec,
-                                &mut frames[slot],
-                                &mut derived,
-                                &mut NoCapture,
-                            );
-                            tally.rule_fire_end(exec.ri);
-                            fired
-                        })
-                } else {
-                    let mut seen_seeds = SeenSeeds::default();
-                    let mut walk = || -> Result<(), EvalError> {
-                        for (ei, exec) in execs.iter().enumerate() {
-                            for driver in &exec.drivers {
-                                let Some(changed) = job.delta.get(&driver.pred) else {
-                                    continue;
-                                };
-                                for (dkey, dcost) in changed {
-                                    self.fire_driver(
-                                        &ctx,
-                                        ei,
-                                        exec,
-                                        driver,
-                                        dkey,
-                                        dcost,
-                                        &mut frames[ei],
-                                        &mut seen_seeds,
-                                        &mut derived,
-                                        &mut wstats,
-                                        &mut tally,
-                                        &mut NoCapture,
-                                        Some((me, workers)),
-                                    )?;
-                                }
-                            }
-                        }
-                        Ok(())
-                    };
-                    walk()
-                };
-                if let Err(e) = fired {
-                    error = Some(e);
-                }
-                pruned = derived.pruned;
-                entries = std::mem::take(&mut derived.map);
-            }
-            // Measured before the send so the span can't include the
-            // orchestrator's receive; the barrier clamps wait spans to
-            // start no earlier than this end.
-            let fire_span =
-                fire_start.map(|s| (s, tracer.as_ref().map(|t| t.now()).unwrap_or(s)));
-            // Same clamp for the metrics sample: the firing phase ends
-            // here; the orchestrator derives the barrier wait from this
-            // reading and its own collection time.
-            let metrics = meter.as_ref().map(|m| {
-                let end = m.now_nanos();
-                crate::metrics::WorkerSample {
-                    worker: me,
-                    fire_nanos: end.saturating_sub(meter_start.unwrap_or(end)),
-                    fire_end_nanos: end,
-                    wait_nanos: 0,
-                    rule_nanos: tally.take_rule_nanos(),
-                }
-            });
-            let sent = results.send(WorkerRound {
-                worker: me,
-                round: job.round,
-                fire_span,
-                entries,
-                pushes,
-                fired: tally.counts,
-                metrics,
-                firings: wstats.firings,
-                pruned,
-                groups: agg.groups.get(),
-                elements: agg.elements.get(),
-                peak_bytes: agg.peak_bytes.get(),
-                error,
-            });
-            if sent.is_err() {
-                return;
-            }
-        }
     }
 
     /// Best-first evaluation of an eligible `min_real` component.
@@ -1299,7 +895,6 @@ impl<'p> MonotonicEngine<'p> {
                             stats,
                             sink,
                             cap,
-                            None,
                         )?;
                     }
                 }
@@ -1370,11 +965,7 @@ impl<'p> MonotonicEngine<'p> {
         Ok(pops)
     }
 
-    /// Fire one semi-naive driver for one delta tuple on the exec's
-    /// `frame`. `shard` is the parallel evaluator's `(worker, workers)`
-    /// filter: seeds hashing outside the worker's shard are skipped
-    /// *before* dedup, so each seed fires on exactly one worker and
-    /// worker-local dedup is global.
+    /// Fire one semi-naive driver for one delta tuple on the exec's `frame`.
     #[allow(clippy::too_many_arguments)]
     fn fire_driver<S: EventSink, C: Capture>(
         &self,
@@ -1390,7 +981,6 @@ impl<'p> MonotonicEngine<'p> {
         stats: &mut EvalStats,
         sink: &mut S,
         cap: &mut C,
-        shard: Option<(usize, usize)>,
     ) -> Result<(), EvalError> {
         let rule = exec.rule;
         // Match the driver atom against the delta tuple to get a seed.
@@ -1412,16 +1002,6 @@ impl<'p> MonotonicEngine<'p> {
             // aggregate recomputes its group in full.
             frame.retain(&driver.seed);
         }
-        let disc = driver.disc;
-        if let Some((me, workers)) = shard {
-            let seed = driver
-                .seed
-                .iter()
-                .map(|&(v, s)| (v, frame.get(s).expect("seed slot bound")));
-            if par::shard_of(exec_index, disc, seed, workers) != me {
-                return Ok(());
-            }
-        }
         // A positive driver's seed is a function of its delta tuple, and a
         // round's delta lists each tuple once, so only aggregate drivers —
         // whose groups many delta tuples share — can repeat a seed.
@@ -1434,7 +1014,7 @@ impl<'p> MonotonicEngine<'p> {
                     .iter()
                     .map(|&(_, s)| vals[s].clone().expect("seed slot bound")),
             );
-            if !seen_seeds.insert(exec_index, disc, seed) {
+            if !seen_seeds.insert(exec_index, driver.disc, seed) {
                 return Ok(());
             }
         }
@@ -1495,85 +1075,6 @@ impl<'p> MonotonicEngine<'p> {
         sink.rule_fire_end(exec.ri);
         r
     }
-}
-
-/// One round's work order for a parallel worker. The delta is shared
-/// read-only: every worker walks all of it and fires only its shard.
-struct ParJob {
-    round: usize,
-    full: bool,
-    delta: Arc<Delta>,
-}
-
-/// One worker's contribution to a round barrier: its shard's round
-/// buffer plus the telemetry the orchestrator folds into the component
-/// totals and replays into the caller's sink.
-struct WorkerRound {
-    worker: usize,
-    round: usize,
-    /// `(start, end)` clock readings around the firing phase, present
-    /// only when the sink opted into span tracing.
-    fire_span: Option<(u64, u64)>,
-    entries: HashMap<(Pred, Arc<Tuple>), DerivedEntry>,
-    /// Per-exec-slot head derivations this round.
-    pushes: Vec<u64>,
-    /// Firings per program rule index (event replay).
-    fired: HashMap<usize, u64>,
-    /// Worker-local latency measurements, present only when the sink
-    /// opted into metering ([`EventSink::worker_meter`]).
-    metrics: Option<crate::metrics::WorkerSample>,
-    firings: u64,
-    pruned: u64,
-    groups: u64,
-    elements: u64,
-    peak_bytes: u64,
-    error: Option<EvalError>,
-}
-
-/// Combine two workers' buffered derivations of the same `(pred, key)` at
-/// the round barrier (applied in worker-index order). Equal costs keep
-/// the smallest exec-slot attribution — execs fire in ascending slot
-/// order sequentially, so the minimum over shards is exactly the
-/// sequential first deriver. Join-fold relaxation entries combine through
-/// the mergeable accumulators ([`par::merge_costs`]), which is the domain
-/// join the sequential buffer would have applied to the same pushes.
-/// Divergent strict costs on a checked run are a Definition 2.6 conflict,
-/// exactly as within one sequential buffer.
-fn merge_worker_entry(
-    program: &Program,
-    check: bool,
-    pred: Pred,
-    key: &Tuple,
-    into: &mut DerivedEntry,
-    from: DerivedEntry,
-) -> Result<(), EvalError> {
-    into.slot = into.slot.min(from.slot);
-    if into.cost == from.cost {
-        into.joined |= from.joined;
-        return Ok(());
-    }
-    if check && !into.joined && !from.joined {
-        return Err(EvalError::CostConflict {
-            pred: program.pred_name(pred),
-            key: render_key(program, key),
-            value_a: into
-                .cost
-                .as_ref()
-                .map(|v| v.display(program))
-                .unwrap_or_default(),
-            value_b: from
-                .cost
-                .as_ref()
-                .map(|v| v.display(program))
-                .unwrap_or_default(),
-        });
-    }
-    let domain = program.cost_spec(pred).map(|c| c.domain);
-    if let (Some(old), Some(new), Some(d)) = (into.cost.clone(), from.cost, domain) {
-        into.cost = Some(par::merge_costs(d, old, new));
-    }
-    into.joined |= from.joined;
-    Ok(())
 }
 
 /// Build the relaxation plan for an aggregate at body index `li` if the
@@ -1671,7 +1172,7 @@ struct Driver {
     pred: Pred,
     lit: usize,
     conjunct: Option<usize>,
-    /// Distinguishes the exec's drivers in seed dedup and sharding.
+    /// Distinguishes the exec's drivers in seed dedup.
     disc: u64,
     /// The driver atom compiled with nothing bound: matching a delta
     /// tuple binds every variable it holds.
@@ -1679,7 +1180,7 @@ struct Driver {
     /// The seed a firing keeps after that match, as `(variable, slot)` in
     /// ascending order: every variable of a positive driver's atom; the
     /// grouping variables an aggregate driver's conjunct binds, plus the
-    /// result variable under relaxation. Dedup and sharding key on it.
+    /// result variable under relaxation. Dedup keys on it.
     seed: Vec<(Var, Slot)>,
     plan: Plan,
     relax: Option<Relax>,
@@ -1923,18 +1424,12 @@ struct RoundBuffer<'a> {
 }
 
 /// One buffered derivation of a round: the (possibly already joined)
-/// cost, the exec slot of the first rule to derive the key this round
-/// (insert-outcome attribution), and whether any contributing push came
-/// from a join-fold relaxation. The parallel barrier merges same-key
-/// entries from different worker shards: `joined` entries combine by
-/// lattice join (through the mergeable accumulators), non-joined entries
-/// with divergent costs are a Definition 2.6 conflict exactly as they
-/// would be within one sequential buffer.
-#[derive(Clone, Debug)]
-pub(crate) struct DerivedEntry {
+/// cost and the exec slot of the first rule to derive the key this round
+/// (insert-outcome attribution).
+#[derive(Debug)]
+struct DerivedEntry {
     cost: Option<Value>,
     slot: usize,
-    joined: bool,
 }
 
 impl<'a> RoundBuffer<'a> {
@@ -1964,13 +1459,11 @@ impl<'a> RoundBuffer<'a> {
                 slot.insert(DerivedEntry {
                     cost,
                     slot: self.current,
-                    joined: self.joining,
                 });
                 Ok(())
             }
             Entry::Occupied(mut slot) => {
                 if slot.get().cost == cost {
-                    slot.get_mut().joined |= self.joining;
                     return Ok(());
                 }
                 if self.check && !self.joining {
@@ -1999,7 +1492,6 @@ impl<'a> RoundBuffer<'a> {
                 if let (Some(old), Some(new), Some(d)) = (entry.cost.clone(), &cost, &domain) {
                     entry.cost = Some(d.join(&old, new));
                 }
-                entry.joined |= self.joining;
                 Ok(())
             }
         }
@@ -3439,142 +2931,5 @@ mod tests {
             .optimizations
             .iter()
             .any(|l| l.contains("no stable binding")));
-    }
-
-    /// Evaluate `src` at `workers` workers under `strategy`.
-    fn run_parallel(src: &str, strategy: Strategy, workers: usize) -> (Program, Model) {
-        let p = parse_program(src).unwrap();
-        let m = MonotonicEngine::with_options(
-            &p,
-            EvalOptions {
-                strategy,
-                workers,
-                ..Default::default()
-            },
-        )
-        .evaluate(&Edb::new())
-        .unwrap();
-        (p, m)
-    }
-
-    const SHORTEST_PATH_SRC: &str = r#"
-        declare pred arc/3 cost min_real.
-        declare pred path/4 cost min_real.
-        declare pred s/3 cost min_real.
-        arc(a, b, 2). arc(b, c, 3). arc(c, a, 4). arc(a, c, 10).
-        arc(c, d, 1). arc(d, b, 2). arc(b, d, 7).
-        path(X, direct, Y, C) :- arc(X, Y, C).
-        path(X, Z, Y, C) :- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
-        s(X, Y, C) :- C =r min D : path(X, Z, Y, D).
-        constraint :- arc(direct, Z, C).
-    "#;
-
-    #[test]
-    fn parallel_matches_sequential_on_shortest_path() {
-        let (p, seq) = run_parallel(SHORTEST_PATH_SRC, Strategy::SemiNaive, 1);
-        for workers in [2, 3, 4] {
-            let (_, par) = run_parallel(SHORTEST_PATH_SRC, Strategy::SemiNaive, workers);
-            assert_eq!(seq.render(&p), par.render(&p), "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_naive_matches_sequential_naive() {
-        let (p, seq) = run_parallel(SHORTEST_PATH_SRC, Strategy::Naive, 1);
-        let (_, par) = run_parallel(SHORTEST_PATH_SRC, Strategy::Naive, 4);
-        assert_eq!(seq.render(&p), par.render(&p));
-    }
-
-    #[test]
-    fn parallel_counters_match_sequential() {
-        // Seed-hash sharding fires each seed on exactly one worker, so
-        // the derivation/firing counters — not just the model — are equal.
-        let (_, seq) = run_parallel(SHORTEST_PATH_SRC, Strategy::SemiNaive, 1);
-        let (_, par) = run_parallel(SHORTEST_PATH_SRC, Strategy::SemiNaive, 4);
-        assert_eq!(seq.stats().derivations, par.stats().derivations);
-        assert_eq!(seq.stats().firings, par.stats().firings);
-        assert_eq!(seq.stats().rounds, par.stats().rounds);
-        assert_eq!(seq.stats().pruned, par.stats().pruned);
-    }
-
-    #[test]
-    fn parallel_zero_workers_means_available_parallelism() {
-        // `workers: 0` resolves to the machine; whatever that is, the
-        // model matches the sequential one.
-        let (p, seq) = run_parallel(SHORTEST_PATH_SRC, Strategy::SemiNaive, 1);
-        let (_, auto) = run_parallel(SHORTEST_PATH_SRC, Strategy::SemiNaive, 0);
-        assert_eq!(seq.render(&p), auto.render(&p));
-    }
-
-    #[test]
-    fn parallel_surfaces_cost_conflicts() {
-        // Two rules derive p(a) at different costs in the same round; the
-        // Definition 2.6 check must fire at whatever worker count, whether
-        // the colliding pushes land in one shard or meet at the barrier.
-        let src = r#"
-            declare pred p/2 cost min_real.
-            base(a).
-            seed(X) :- base(X).
-            p(X, 1) :- seed(X).
-            p(X, 2) :- seed(X).
-        "#;
-        let p = parse_program(src).unwrap();
-        for workers in [1usize, 2, 4] {
-            let r = MonotonicEngine::with_options(
-                &p,
-                EvalOptions {
-                    workers,
-                    allow_unchecked: true,
-                    ..Default::default()
-                },
-            )
-            .evaluate(&Edb::new());
-            assert!(
-                matches!(r, Err(EvalError::CostConflict { .. })),
-                "workers={workers}: {r:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_round_events_report_shards() {
-        struct ParSpy {
-            rounds: usize,
-            workers: Vec<usize>,
-            firings_via_shards: usize,
-        }
-        impl EventSink for ParSpy {
-            fn parallel_round(
-                &mut self,
-                _round: usize,
-                workers: usize,
-                shard_sizes: &[usize],
-                _merges: u64,
-                _wait: u64,
-            ) {
-                self.rounds += 1;
-                self.workers.push(workers);
-                assert_eq!(shard_sizes.len(), workers);
-                self.firings_via_shards += shard_sizes.iter().sum::<usize>();
-            }
-        }
-        let p = parse_program(SHORTEST_PATH_SRC).unwrap();
-        let mut spy = ParSpy {
-            rounds: 0,
-            workers: Vec::new(),
-            firings_via_shards: 0,
-        };
-        let m = MonotonicEngine::with_options(
-            &p,
-            EvalOptions {
-                workers: 3,
-                ..Default::default()
-            },
-        )
-        .evaluate_with_sink(&Edb::new(), &mut spy)
-        .unwrap();
-        assert!(spy.rounds > 0, "no parallel_round events fired");
-        assert!(spy.workers.iter().all(|&w| w == 3));
-        assert_eq!(spy.firings_via_shards as u64, m.stats().firings);
     }
 }

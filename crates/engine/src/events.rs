@@ -56,18 +56,6 @@ pub trait EventSink {
     fn rule_fire_start(&mut self, rule: usize) {}
     /// The matching rule firing completed.
     fn rule_fire_end(&mut self, rule: usize) {}
-    /// Bulk report of `count` completed firings of `rule` whose individual
-    /// begin/end interleaving is unavailable (the parallel barrier replays
-    /// worker-side tallies through this). The default expands to
-    /// `rule_fire_start`/`rule_fire_end` pairs so counting sinks observe
-    /// identical totals either way; span-recording sinks override it to
-    /// avoid synthesizing `count` zero-width spans.
-    fn rule_firings(&mut self, rule: usize, count: u64) {
-        for _ in 0..count {
-            self.rule_fire_start(rule);
-            self.rule_fire_end(rule);
-        }
-    }
     /// One buffered derivation was applied to the database. `rule` is the
     /// program rule index that first derived the tuple this round.
     fn insert_outcome(&mut self, rule: usize, pred: Pred, outcome: InsertOutcome) {}
@@ -76,21 +64,6 @@ pub trait EventSink {
     /// The round ended: `derivations` distinct (pred, key) derivations
     /// were buffered, `changed` of them changed the database.
     fn round_end(&mut self, round: usize, derivations: usize, changed: usize) {}
-    /// Parallel-evaluator barrier telemetry for one round (`--parallel`
-    /// only; fired between the firing phase and the apply phase).
-    /// `shard_sizes[w]` is worker `w`'s firing count, `merges` the number
-    /// of same-key collisions combined across shards at the barrier, and
-    /// `barrier_wait_nanos` the time the orchestrator spent waiting on
-    /// stragglers after the first worker finished (shard imbalance).
-    fn parallel_round(
-        &mut self,
-        round: usize,
-        workers: usize,
-        shard_sizes: &[usize],
-        merges: u64,
-        barrier_wait_nanos: u64,
-    ) {
-    }
     /// Total head derivations (including same-key re-derivations) a rule
     /// attempted over the whole component. Fired once per rule at
     /// component end.
@@ -128,25 +101,6 @@ pub trait EventSink {
     fn wants_relation_memory(&self) -> bool {
         false
     }
-    /// Opt-in handle for worker-side span recording under `--parallel`.
-    /// The parallel orchestrator asks the sink for a [`crate::trace::Tracer`]
-    /// once per component; `None` (the default) keeps the worker hot loop
-    /// free of any clock reads, preserving the zero-cost-when-off property.
-    fn worker_tracer(&self) -> Option<crate::trace::Tracer> {
-        None
-    }
-    /// Opt-in handle for worker-side latency recording under `--parallel`
-    /// — the metrics analogue of [`EventSink::worker_tracer`]. `None`
-    /// (the default) keeps workers free of clock reads and histogram
-    /// bookkeeping.
-    fn worker_meter(&self) -> Option<crate::metrics::Meter> {
-        None
-    }
-    /// One worker's round-local measurements, delivered by the parallel
-    /// orchestrator at the round barrier (only when
-    /// [`EventSink::worker_meter`] returned `Some`). Workers record into
-    /// local histograms; this merge point is the only synchronization.
-    fn worker_sample(&mut self, sample: &crate::metrics::WorkerSample) {}
 }
 
 /// The default sink: does nothing, compiles to nothing.
@@ -177,10 +131,6 @@ impl<A: EventSink, B: EventSink> EventSink for Fanout<A, B> {
         self.0.rule_fire_end(rule);
         self.1.rule_fire_end(rule);
     }
-    fn rule_firings(&mut self, rule: usize, count: u64) {
-        self.0.rule_firings(rule, count);
-        self.1.rule_firings(rule, count);
-    }
     fn insert_outcome(&mut self, rule: usize, pred: Pred, outcome: InsertOutcome) {
         self.0.insert_outcome(rule, pred, outcome);
         self.1.insert_outcome(rule, pred, outcome);
@@ -192,19 +142,6 @@ impl<A: EventSink, B: EventSink> EventSink for Fanout<A, B> {
     fn round_end(&mut self, round: usize, derivations: usize, changed: usize) {
         self.0.round_end(round, derivations, changed);
         self.1.round_end(round, derivations, changed);
-    }
-    fn parallel_round(
-        &mut self,
-        round: usize,
-        workers: usize,
-        shard_sizes: &[usize],
-        merges: u64,
-        barrier_wait_nanos: u64,
-    ) {
-        self.0
-            .parallel_round(round, workers, shard_sizes, merges, barrier_wait_nanos);
-        self.1
-            .parallel_round(round, workers, shard_sizes, merges, barrier_wait_nanos);
     }
     fn rule_derivations(&mut self, rule: usize, derivations: u64) {
         self.0.rule_derivations(rule, derivations);
@@ -241,16 +178,6 @@ impl<A: EventSink, B: EventSink> EventSink for Fanout<A, B> {
     fn wants_relation_memory(&self) -> bool {
         self.0.wants_relation_memory() || self.1.wants_relation_memory()
     }
-    fn worker_tracer(&self) -> Option<crate::trace::Tracer> {
-        self.0.worker_tracer().or_else(|| self.1.worker_tracer())
-    }
-    fn worker_meter(&self) -> Option<crate::metrics::Meter> {
-        self.0.worker_meter().or_else(|| self.1.worker_meter())
-    }
-    fn worker_sample(&mut self, sample: &crate::metrics::WorkerSample) {
-        self.0.worker_sample(sample);
-        self.1.worker_sample(sample);
-    }
 }
 
 /// `None` behaves exactly like [`NoopSink`]; `Some(sink)` forwards. This
@@ -278,11 +205,6 @@ impl<S: EventSink> EventSink for Option<S> {
             s.rule_fire_end(rule);
         }
     }
-    fn rule_firings(&mut self, rule: usize, count: u64) {
-        if let Some(s) = self {
-            s.rule_firings(rule, count);
-        }
-    }
     fn insert_outcome(&mut self, rule: usize, pred: Pred, outcome: InsertOutcome) {
         if let Some(s) = self {
             s.insert_outcome(rule, pred, outcome);
@@ -296,18 +218,6 @@ impl<S: EventSink> EventSink for Option<S> {
     fn round_end(&mut self, round: usize, derivations: usize, changed: usize) {
         if let Some(s) = self {
             s.round_end(round, derivations, changed);
-        }
-    }
-    fn parallel_round(
-        &mut self,
-        round: usize,
-        workers: usize,
-        shard_sizes: &[usize],
-        merges: u64,
-        barrier_wait_nanos: u64,
-    ) {
-        if let Some(s) = self {
-            s.parallel_round(round, workers, shard_sizes, merges, barrier_wait_nanos);
         }
     }
     fn rule_derivations(&mut self, rule: usize, derivations: u64) {
@@ -353,17 +263,6 @@ impl<S: EventSink> EventSink for Option<S> {
     fn wants_relation_memory(&self) -> bool {
         self.as_ref().is_some_and(EventSink::wants_relation_memory)
     }
-    fn worker_tracer(&self) -> Option<crate::trace::Tracer> {
-        self.as_ref().and_then(EventSink::worker_tracer)
-    }
-    fn worker_meter(&self) -> Option<crate::metrics::Meter> {
-        self.as_ref().and_then(EventSink::worker_meter)
-    }
-    fn worker_sample(&mut self, sample: &crate::metrics::WorkerSample) {
-        if let Some(s) = self {
-            s.worker_sample(sample);
-        }
-    }
 }
 
 /// Forward through a mutable reference, so an owned sink can ride a
@@ -382,9 +281,6 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
     fn rule_fire_end(&mut self, rule: usize) {
         (**self).rule_fire_end(rule);
     }
-    fn rule_firings(&mut self, rule: usize, count: u64) {
-        (**self).rule_firings(rule, count);
-    }
     fn insert_outcome(&mut self, rule: usize, pred: Pred, outcome: InsertOutcome) {
         (**self).insert_outcome(rule, pred, outcome);
     }
@@ -393,16 +289,6 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
     }
     fn round_end(&mut self, round: usize, derivations: usize, changed: usize) {
         (**self).round_end(round, derivations, changed);
-    }
-    fn parallel_round(
-        &mut self,
-        round: usize,
-        workers: usize,
-        shard_sizes: &[usize],
-        merges: u64,
-        barrier_wait_nanos: u64,
-    ) {
-        (**self).parallel_round(round, workers, shard_sizes, merges, barrier_wait_nanos);
     }
     fn rule_derivations(&mut self, rule: usize, derivations: u64) {
         (**self).rule_derivations(rule, derivations);
@@ -430,15 +316,6 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
     }
     fn wants_relation_memory(&self) -> bool {
         (**self).wants_relation_memory()
-    }
-    fn worker_tracer(&self) -> Option<crate::trace::Tracer> {
-        (**self).worker_tracer()
-    }
-    fn worker_meter(&self) -> Option<crate::metrics::Meter> {
-        (**self).worker_meter()
-    }
-    fn worker_sample(&mut self, sample: &crate::metrics::WorkerSample) {
-        (**self).worker_sample(sample);
     }
 }
 
@@ -471,10 +348,9 @@ impl Clock for SystemClock {
 }
 
 /// A deterministic clock: every reading advances by a fixed step, so the
-/// n-th call returns `(n - 1) * step`. The counter is atomic so a shared
-/// `ManualClock` can be read from parallel workers (with `step == 0` every
-/// reading is `0` regardless of thread interleaving, which is how the
-/// parallel golden-trace tests stay byte-deterministic).
+/// n-th call returns `(n - 1) * step`. The counter is atomic so a
+/// `ManualClock` meets the `Send + Sync` bound the tracer and the meter
+/// put on their clocks.
 #[derive(Debug)]
 pub struct ManualClock {
     now: AtomicU64,
@@ -533,10 +409,7 @@ mod tests {
         s.round_start(1, true);
         s.rule_fire_start(0);
         s.rule_fire_end(0);
-        s.rule_firings(0, 3);
-        assert!(s.worker_tracer().is_none());
         s.round_end(1, 0, 0);
-        s.parallel_round(1, 2, &[3, 4], 1, 250);
         s.aggregate_totals(0, 0, 0);
         s.optimization("prem: {p} premappable — dominance pruning enabled");
         s.pruned(0, 3);

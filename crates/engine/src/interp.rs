@@ -62,10 +62,9 @@ pub struct IndexStats {
 /// Always-on interior-mutability counters behind [`IndexStats`]. Relaxed
 /// atomic bumps on the probe path cost one uncontended RMW — cheap
 /// enough to keep unconditionally instead of threading an `EventSink`
-/// into `&self` probes, and (unlike the `Cell`s they replace) safe to
-/// bump from the parallel evaluator's worker threads. Counters are pure
-/// telemetry, so `Relaxed` ordering suffices: nothing synchronizes on
-/// them.
+/// into `&self` probes, and (unlike `Cell`s) they keep `Relation`
+/// `Sync`. Counters are pure telemetry, so `Relaxed` ordering suffices:
+/// nothing synchronizes on them.
 #[derive(Debug, Default)]
 struct IndexCounters {
     probes: AtomicU64,
@@ -197,8 +196,8 @@ pub struct Relation {
     log: Vec<Arc<Tuple>>,
     /// Signature-keyed join indexes (interior mutability: probes through
     /// `&self` catch indexes up lazily). An `RwLock` rather than a
-    /// `RefCell` so `Relation` is `Sync` and parallel workers can probe
-    /// concurrently; uncontended lock acquisition is a single atomic op.
+    /// `RefCell` keeps `Relation` `Sync`; uncontended lock acquisition is
+    /// a single atomic op.
     indexes: RwLock<HashMap<Sig, SigIndex>>,
     /// Lifetime index telemetry (see [`IndexStats`]).
     counters: IndexCounters,

@@ -52,7 +52,6 @@ pub mod interp;
 pub mod jsonish;
 pub mod metrics;
 pub mod model;
-pub mod par;
 pub mod serve;
 pub mod plan;
 pub mod profile;
@@ -73,13 +72,12 @@ pub use events::{Clock, EventSink, Fanout, InsertOutcome, ManualClock, NoopSink,
 pub use interp::{IndexStats, Interp, Relation, RelationMemory, Tuple};
 pub use metrics::{
     parse_openmetrics, Histogram, HistogramBlock, HistogramSink, Meter, MetricSet, Registry,
-    Unit, WorkerSample, OPENMETRICS_CONTENT_TYPE,
+    Unit, OPENMETRICS_CONTENT_TYPE,
 };
 pub use model::Model;
-pub use par::{available_workers, resolve_workers};
 pub use serve::MetricsServer;
 pub use profile::{
-    fmt_bytes, fmt_nanos, render_profile_json, MetricsSink, ParallelProfile, ProfileReport,
+    fmt_bytes, fmt_nanos, render_profile_json, MetricsSink, ProfileReport,
     TraceSink,
 };
 pub use trace::{

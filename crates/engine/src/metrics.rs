@@ -3,16 +3,12 @@
 //! [`MetricSet`] of counters/gauges/histograms, a shareable [`Registry`]
 //! the `/metrics` endpoint serves live snapshots from, and a
 //! [`HistogramSink`] that records per-rule firing latency, per-round
-//! duration, per-worker barrier wait, merged-buffer sizes, and heap
-//! samples while an evaluation runs.
+//! duration, round-buffer sizes, and heap samples while an evaluation
+//! runs.
 //!
-//! The histogram mirrors the `Accumulator::merge` discipline from the
-//! sharded evaluator: workers record into *worker-local* histograms and
-//! the round barrier merges them ([`EventSink::worker_sample`]), so
-//! `--parallel` runs never contend on a shared collector. Merging is
-//! lossless — bucket counts add, min/max/count/sum combine — so the
-//! merged distribution is exactly what one sequential recorder would
-//! have held.
+//! Merging is lossless — bucket counts add, min/max/count/sum combine —
+//! so a family's series fold into one distribution
+//! ([`MetricSet::blocks`]) exactly as one recorder would have held it.
 //!
 //! Exposition is OpenMetrics 1.0 text ([`MetricSet::render_openmetrics`]),
 //! and a line parser for the same dialect lives here too
@@ -114,7 +110,7 @@ impl Histogram {
     /// (saturating). Associative and commutative, with the empty
     /// histogram as two-sided identity; like the engine's counting
     /// aggregate folds it is deliberately *not* idempotent — merging a
-    /// shard with itself double-counts.
+    /// histogram with itself double-counts.
     pub fn merge(&mut self, other: &Histogram) {
         if other.count == 0 {
             return;
@@ -324,7 +320,7 @@ impl MetricSet {
         }
     }
 
-    /// Merge a whole histogram into a series (the barrier path).
+    /// Merge a whole histogram into a series.
     pub fn merge_histogram(
         &mut self,
         name: &str,
@@ -379,8 +375,8 @@ impl MetricSet {
     }
 
     /// Per-histogram-family percentile summaries, each family merged
-    /// across its series (so the "rule fire" block spans all rules, the
-    /// "barrier wait" block spans all workers). Sorted by family name.
+    /// across its series (so the "rule fire" block spans all rules).
+    /// Sorted by family name.
     pub fn blocks(&self) -> Vec<HistogramBlock> {
         let mut out = Vec::new();
         for (name, fam) in &self.families {
@@ -590,8 +586,8 @@ impl Registry {
     }
 }
 
-/// A cheap shared clock handle parallel workers use to time their shard
-/// locally (the metrics analogue of [`EventSink::worker_tracer`]).
+/// A cheap, clonable clock handle: [`HistogramSink`] times firings and
+/// rounds with it, and tests inject a [`crate::ManualClock`] through it.
 #[derive(Clone)]
 pub struct Meter {
     clock: Arc<dyn Clock + Send + Sync>,
@@ -617,38 +613,13 @@ impl std::fmt::Debug for Meter {
     }
 }
 
-/// One worker's round-local measurements, merged into the orchestrator's
-/// sink at the round barrier ([`EventSink::worker_sample`]).
-#[derive(Clone, Debug, Default)]
-pub struct WorkerSample {
-    pub worker: usize,
-    /// Firing-phase duration by the worker's [`Meter`].
-    pub fire_nanos: u64,
-    /// Meter reading when the firing phase ended; the orchestrator
-    /// derives `wait_nanos` from this and its own barrier-collect
-    /// reading.
-    pub fire_end_nanos: u64,
-    /// Barrier wait: collect time minus `fire_end_nanos` (filled in by
-    /// the orchestrator before the sink sees the sample).
-    pub wait_nanos: u64,
-    /// Worker-local per-rule firing-latency histograms, keyed by program
-    /// rule index.
-    pub rule_nanos: Vec<(usize, Histogram)>,
-}
-
 // Family names + help text, shared by the sink and its tests.
 pub(crate) const RULE_FIRE: &str = "maglog_rule_fire_duration_seconds";
 const RULE_FIRE_HELP: &str = "Wall-clock latency of individual rule firings.";
 pub(crate) const ROUND_DURATION: &str = "maglog_round_duration_seconds";
 const ROUND_DURATION_HELP: &str = "Duration of fixpoint rounds (firing plus apply phase).";
-pub(crate) const BARRIER_WAIT: &str = "maglog_barrier_wait_seconds";
-const BARRIER_WAIT_HELP: &str =
-    "Time spent waiting at the parallel round barrier (orchestrator straggler wait, and per-worker wait when labeled).";
-pub(crate) const WORKER_FIRE: &str = "maglog_worker_fire_duration_seconds";
-const WORKER_FIRE_HELP: &str = "Per-worker firing-phase duration per parallel round.";
 pub(crate) const ROUND_BUFFER: &str = "maglog_round_buffer_tuples";
-const ROUND_BUFFER_HELP: &str =
-    "Distinct derivations buffered per round (the merged buffer size under --parallel).";
+const ROUND_BUFFER_HELP: &str = "Distinct derivations buffered per round.";
 pub(crate) const HEAP_LIVE: &str = "maglog_heap_live_bytes";
 const HEAP_LIVE_HELP: &str =
     "Live heap sampled at round boundaries (zero when the counting allocator is absent).";
@@ -660,18 +631,13 @@ pub(crate) const FIRINGS: &str = "maglog_firings";
 const FIRINGS_HELP: &str = "Rule firings attempted.";
 pub(crate) const DERIVATIONS: &str = "maglog_derivations";
 const DERIVATIONS_HELP: &str = "Distinct derivations buffered across all rounds.";
-pub(crate) const MERGES: &str = "maglog_barrier_merges";
-const MERGES_HELP: &str = "Same-key derivations merged across shards at round barriers.";
 
 /// [`EventSink`] that records latency distributions into a local
 /// [`MetricSet`] and (optionally) publishes round-boundary snapshots
 /// into a shared [`Registry`] for the live `/metrics` endpoint.
 ///
-/// Sequential firings are timed by bracketing
-/// `rule_fire_start`/`rule_fire_end` with the sink's [`Meter`]; parallel
-/// shards time themselves worker-locally and arrive merged through
-/// [`EventSink::worker_sample`] — the hot loops never touch a shared
-/// lock.
+/// Firings are timed by bracketing `rule_fire_start`/`rule_fire_end`
+/// with the sink's [`Meter`]; the hot loop never touches a shared lock.
 pub struct HistogramSink<'p> {
     program: &'p Program,
     meter: Meter,
@@ -682,13 +648,9 @@ pub struct HistogramSink<'p> {
     round_duration: Histogram,
     round_buffer: Histogram,
     heap_live: Histogram,
-    barrier_wait: Histogram,
-    worker_fire: BTreeMap<usize, Histogram>,
-    worker_wait: BTreeMap<usize, Histogram>,
     rounds: u64,
     firings: u64,
     derivations: u64,
-    merges: u64,
     round_started: u64,
     fire_started: u64,
 }
@@ -719,13 +681,9 @@ impl<'p> HistogramSink<'p> {
             round_duration: Histogram::new(),
             round_buffer: Histogram::new(),
             heap_live: Histogram::new(),
-            barrier_wait: Histogram::new(),
-            worker_fire: BTreeMap::new(),
-            worker_wait: BTreeMap::new(),
             rounds: 0,
             firings: 0,
             derivations: 0,
-            merges: 0,
             round_started: 0,
             fire_started: 0,
         }
@@ -792,39 +750,9 @@ impl<'p> HistogramSink<'p> {
                 &self.heap_live,
             );
         }
-        if !self.barrier_wait.is_empty() {
-            set.merge_histogram(
-                BARRIER_WAIT,
-                BARRIER_WAIT_HELP,
-                Unit::Seconds,
-                self.labels(&[]),
-                &self.barrier_wait,
-            );
-        }
-        for (w, h) in &self.worker_fire {
-            set.merge_histogram(
-                WORKER_FIRE,
-                WORKER_FIRE_HELP,
-                Unit::Seconds,
-                self.labels(&[("worker", &w.to_string())]),
-                h,
-            );
-        }
-        for (w, h) in &self.worker_wait {
-            set.merge_histogram(
-                BARRIER_WAIT,
-                BARRIER_WAIT_HELP,
-                Unit::Seconds,
-                self.labels(&[("worker", &w.to_string())]),
-                h,
-            );
-        }
         set.counter(ROUNDS, ROUNDS_HELP, self.labels(&[]), self.rounds);
         set.counter(FIRINGS, FIRINGS_HELP, self.labels(&[]), self.firings);
         set.counter(DERIVATIONS, DERIVATIONS_HELP, self.labels(&[]), self.derivations);
-        if self.merges > 0 {
-            set.counter(MERGES, MERGES_HELP, self.labels(&[]), self.merges);
-        }
         let peak = crate::alloc::peak_bytes();
         if peak > 0 {
             set.gauge(HEAP_PEAK, HEAP_PEAK_HELP, self.labels(&[]), peak as f64);
@@ -865,12 +793,6 @@ impl EventSink for HistogramSink<'_> {
         self.rule_fire.entry(rule).or_default().record(elapsed);
     }
 
-    fn rule_firings(&mut self, _rule: usize, count: u64) {
-        // Bulk barrier replay: counts only — the real per-firing timings
-        // arrive worker-local through `worker_sample`.
-        self.firings += count;
-    }
-
     fn round_end(&mut self, _round: usize, derivations: usize, _changed: usize) {
         let elapsed = self.meter.now_nanos().saturating_sub(self.round_started);
         self.round_duration.record(elapsed);
@@ -881,38 +803,8 @@ impl EventSink for HistogramSink<'_> {
         self.publish_snapshot();
     }
 
-    fn parallel_round(
-        &mut self,
-        _round: usize,
-        _workers: usize,
-        _shard_sizes: &[usize],
-        merges: u64,
-        barrier_wait_nanos: u64,
-    ) {
-        self.merges += merges;
-        self.barrier_wait.record(barrier_wait_nanos);
-    }
-
     fn component_end(&mut self, _component: usize, _rounds: usize) {
         self.publish_snapshot();
-    }
-
-    fn worker_meter(&self) -> Option<Meter> {
-        Some(self.meter.clone())
-    }
-
-    fn worker_sample(&mut self, sample: &WorkerSample) {
-        self.worker_fire
-            .entry(sample.worker)
-            .or_default()
-            .record(sample.fire_nanos);
-        self.worker_wait
-            .entry(sample.worker)
-            .or_default()
-            .record(sample.wait_nanos);
-        for (ri, h) in &sample.rule_nanos {
-            self.rule_fire.entry(*ri).or_default().merge(h);
-        }
     }
 }
 

@@ -529,7 +529,20 @@ fn pick_next(
                         Term::Var(v) => bound.contains(v),
                     })
                     .count();
-                let tier = if total == bound_args {
+                // A default-value predicate's implicit tuples are found by
+                // lookup, never by a scan: wait until its key variables are
+                // bound, as `plan_conjuncts` does. Range restriction
+                // guarantees such an order on certified programs; on
+                // unchecked ones the atom is scanned only when nothing
+                // else is ready.
+                let keys_free = program.has_default(a.pred)
+                    && a
+                        .key_args(program.is_cost_pred(a.pred))
+                        .iter()
+                        .any(|t| matches!(t, Term::Var(v) if !bound.contains(v)));
+                let tier = if keys_free {
+                    64
+                } else if total == bound_args {
                     3 // pure membership test
                 } else if bound_args > 0 {
                     // Prefer more-bound atoms: tier 4 block, refined below.

@@ -108,25 +108,6 @@ pub struct MemoryProfile {
     pub memory: RelationMemory,
 }
 
-/// Parallel-evaluator telemetry (`--parallel`), summed over every
-/// parallel round of the run.
-#[derive(Clone, Debug, Default)]
-pub struct ParallelProfile {
-    /// Worker pool size.
-    pub workers: usize,
-    /// Rounds executed by the parallel evaluator (components small enough
-    /// to stay sequential are not counted).
-    pub rounds: usize,
-    /// Per-worker firing totals across all parallel rounds
-    /// (`len() == workers`); the spread shows shard balance.
-    pub shard_firings: Vec<u64>,
-    /// Same-key derivations merged across shards at round barriers.
-    pub merges: u64,
-    /// Total orchestrator time spent waiting on straggler workers after
-    /// the first worker finished each round.
-    pub barrier_wait_nanos: u64,
-}
-
 /// Aggregated profile of one evaluation.
 #[derive(Clone, Debug, Default)]
 pub struct ProfileReport {
@@ -146,19 +127,18 @@ pub struct ProfileReport {
     /// Largest estimated live accumulator-table footprint seen by any
     /// single aggregate evaluation.
     pub agg_peak_bytes: u64,
-    /// Live heap per the counting allocator when the report was taken
-    /// (zero when [`crate::alloc::CountingAlloc`] is not installed).
+    /// Live heap the fixpoint added on its thread when its last
+    /// component ended, per the counting allocator (zero when
+    /// [`crate::alloc::CountingAlloc`] is not installed).
     pub alloc_current_bytes: u64,
-    /// Allocator high-water mark at report time — per-strategy when the
-    /// host calls [`crate::alloc::reset_peak`] before each run.
+    /// The fixpoint's allocator high-water mark on its thread, above the
+    /// live level when its first component started.
     pub alloc_peak_bytes: u64,
     /// Optimizing-rewrite decisions (`--optimize`), one line each; empty
     /// when no rewrite ran.
     pub optimizations: Vec<String>,
     /// Derivations discarded by proven-sound optimization filters.
     pub pruned: u64,
-    /// Parallel-evaluator telemetry; `None` for sequential runs.
-    pub parallel: Option<ParallelProfile>,
     /// Latency-distribution summaries from a
     /// [`HistogramSink`](crate::metrics::HistogramSink) run alongside
     /// this sink (attached by the host; empty when no metrics were
@@ -331,19 +311,6 @@ impl ProfileReport {
             "      \"aggregates\": {{\"groups\": {}, \"elements\": {}, \"peak_bytes\": {}}},\n",
             self.agg_groups, self.agg_elements, self.agg_peak_bytes
         ));
-        if let Some(par) = &self.parallel {
-            let shards: Vec<String> =
-                par.shard_firings.iter().map(|n| n.to_string()).collect();
-            s.push_str(&format!(
-                "      \"parallel\": {{\"workers\": {}, \"rounds\": {}, \
-                 \"shard_firings\": [{}], \"merges\": {}, \"barrier_wait_nanos\": {}}},\n",
-                par.workers,
-                par.rounds,
-                shards.join(", "),
-                par.merges,
-                par.barrier_wait_nanos,
-            ));
-        }
         if !self.histograms.is_empty() {
             s.push_str("      \"histograms\": [\n");
             for (i, h) in self.histograms.iter().enumerate() {
@@ -459,28 +426,6 @@ impl ProfileReport {
             self.agg_elements,
             fmt_bytes(self.agg_peak_bytes)
         ));
-        if let Some(par) = &self.parallel {
-            let shards: Vec<String> =
-                par.shard_firings.iter().map(|n| n.to_string()).collect();
-            s.push_str(&format!(
-                "parallel: {} worker(s), {} round(s), shard firings [{}], \
-                 {} barrier merge(s), {} ns waiting at barriers\n",
-                par.workers,
-                par.rounds,
-                shards.join(", "),
-                par.merges,
-                par.barrier_wait_nanos,
-            ));
-            let max = par.shard_firings.iter().copied().max().unwrap_or(0);
-            let total: u64 = par.shard_firings.iter().sum();
-            if max > 0 && !par.shard_firings.is_empty() {
-                let mean = total as f64 / par.shard_firings.len() as f64;
-                s.push_str(&format!(
-                    "shard imbalance: max/mean {:.2} (max {max}, mean {mean:.1})\n",
-                    max as f64 / mean
-                ));
-            }
-        }
         if !self.histograms.is_empty() {
             s.push_str("histograms:\n");
             for h in &self.histograms {
@@ -573,6 +518,15 @@ pub fn render_profile_json(program_label: &str, reports: &[ProfileReport]) -> St
 }
 
 /// [`EventSink`] that aggregates everything into a [`ProfileReport`].
+///
+/// The allocator figures are scoped to the fixpoint on the evaluating
+/// thread: when the first component starts, the sink records the
+/// thread's live bytes and re-seats its peak; when each component ends
+/// it reads both figures above that base. What was live before — the
+/// program, the loaded facts, and whatever the static gate left behind
+/// (it interns renamed variables into the program's symbol table on
+/// first use) — stays out, so repeated evaluations report the same
+/// figures.
 pub struct MetricsSink<'p> {
     program: &'p Program,
     strategy: Strategy,
@@ -588,9 +542,11 @@ pub struct MetricsSink<'p> {
     agg_peak_bytes: u64,
     optimizations: Vec<String>,
     pruned: u64,
-    parallel: Option<ParallelProfile>,
     cur_round: Option<RoundProfile>,
     fire_started: u64,
+    heap_base: usize,
+    heap_live: usize,
+    heap_peak: usize,
 }
 
 impl<'p> MetricsSink<'p> {
@@ -614,9 +570,11 @@ impl<'p> MetricsSink<'p> {
             agg_peak_bytes: 0,
             optimizations: Vec::new(),
             pruned: 0,
-            parallel: None,
             cur_round: None,
             fire_started: 0,
+            heap_base: 0,
+            heap_live: 0,
+            heap_peak: 0,
         }
     }
 
@@ -656,11 +614,10 @@ impl<'p> MetricsSink<'p> {
             agg_groups: self.agg_groups,
             agg_elements: self.agg_elements,
             agg_peak_bytes: self.agg_peak_bytes,
-            alloc_current_bytes: crate::alloc::current_bytes() as u64,
-            alloc_peak_bytes: crate::alloc::peak_bytes() as u64,
+            alloc_current_bytes: self.heap_live as u64,
+            alloc_peak_bytes: self.heap_peak as u64,
             optimizations: self.optimizations,
             pruned: self.pruned,
-            parallel: self.parallel,
             histograms: Vec::new(),
         }
     }
@@ -668,6 +625,10 @@ impl<'p> MetricsSink<'p> {
 
 impl EventSink for MetricsSink<'_> {
     fn component_start(&mut self, component: usize, strategy: Strategy, cdb: &[Pred]) {
+        if self.components.is_empty() {
+            crate::alloc::reset_peak();
+            self.heap_base = crate::alloc::current_bytes();
+        }
         let mut preds: Vec<String> =
             cdb.iter().map(|p| self.program.pred_name(*p)).collect();
         preds.sort();
@@ -743,29 +704,6 @@ impl EventSink for MetricsSink<'_> {
         self.rule_entry(rule).derivations += derivations;
     }
 
-    fn parallel_round(
-        &mut self,
-        _round: usize,
-        workers: usize,
-        shard_sizes: &[usize],
-        merges: u64,
-        barrier_wait_nanos: u64,
-    ) {
-        let par = self.parallel.get_or_insert_with(|| ParallelProfile {
-            workers,
-            shard_firings: vec![0; workers],
-            ..Default::default()
-        });
-        par.rounds += 1;
-        par.merges += merges;
-        par.barrier_wait_nanos += barrier_wait_nanos;
-        for (w, &n) in shard_sizes.iter().enumerate() {
-            if let Some(slot) = par.shard_firings.get_mut(w) {
-                *slot += n as u64;
-            }
-        }
-    }
-
     fn aggregate_totals(&mut self, groups: u64, elements: u64, peak_bytes: u64) {
         self.agg_groups += groups;
         self.agg_elements += elements;
@@ -785,6 +723,8 @@ impl EventSink for MetricsSink<'_> {
             c.rounds = rounds;
         }
         self.cur_round = None;
+        self.heap_live = crate::alloc::current_bytes().saturating_sub(self.heap_base);
+        self.heap_peak = crate::alloc::peak_bytes().saturating_sub(self.heap_base);
     }
 
     fn index_stats(&mut self, pred: Pred, sigs: usize, stats: IndexStats) {
@@ -1073,57 +1013,6 @@ mod tests {
         assert!(json.contains("\"memory\""));
         assert!(json.contains("\"heap_bytes\""));
         assert!(json.contains("\"alloc_peak_bytes\""));
-    }
-
-    #[test]
-    fn parallel_runs_report_shard_telemetry() {
-        let p = parse_program(TC).unwrap();
-        let mut sink = MetricsSink::with_clock(
-            &p,
-            Strategy::SemiNaive,
-            Box::new(ManualClock::with_step(1)),
-        );
-        MonotonicEngine::with_options(
-            &p,
-            EvalOptions {
-                workers: 2,
-                ..Default::default()
-            },
-        )
-        .evaluate_with_sink(&Edb::new(), &mut sink)
-        .unwrap();
-        let report = sink.finish();
-        let par = report.parallel.as_ref().expect("parallel block missing");
-        assert_eq!(par.workers, 2);
-        assert_eq!(par.shard_firings.len(), 2);
-        assert!(par.rounds > 0);
-        // Every firing happened on exactly one shard.
-        assert_eq!(
-            par.shard_firings.iter().sum::<u64>(),
-            report.total_firings()
-        );
-        let human = report.render_human();
-        assert!(human.contains("shard imbalance: max/mean"), "{human}");
-        let json = render_profile_json("tc", &[report]);
-        assert!(json.contains("\"parallel\""));
-        assert!(json.contains("\"shard_firings\""));
-        assert!(json.contains("\"barrier_wait_nanos\""));
-    }
-
-    #[test]
-    fn sequential_runs_omit_the_parallel_block() {
-        let p = parse_program(TC).unwrap();
-        let mut sink = MetricsSink::with_clock(
-            &p,
-            Strategy::SemiNaive,
-            Box::new(ManualClock::with_step(1)),
-        );
-        MonotonicEngine::new(&p)
-            .evaluate_with_sink(&Edb::new(), &mut sink)
-            .unwrap();
-        let report = sink.finish();
-        assert!(report.parallel.is_none());
-        assert!(!render_profile_json("tc", &[report]).contains("\"parallel\""));
     }
 
     #[test]

@@ -2,17 +2,15 @@
 //!
 //! Where [`crate::profile`] aggregates counters (totals per rule, per
 //! round), this module records a *timeline*: begin/end span events per
-//! phase, component, round, and rule firing — and, under `--parallel`,
-//! per-worker fire / barrier-wait / merge spans — plus allocator and
+//! phase, component, round, and rule firing — plus allocator and
 //! delta-size counter tracks sampled at round boundaries. The result
 //! renders as Chrome trace-event JSON (`maglog-trace-v1`) loadable in
-//! Perfetto or `chrome://tracing`, with one lane per worker thread.
+//! Perfetto or `chrome://tracing`.
 //!
 //! Three pieces:
 //!
 //! - [`Tracer`]: a cheaply-clonable, thread-safe handle over a bounded
-//!   event buffer and an injectable [`Clock`]. Workers clone it; the cap
-//!   plus an `events_dropped` footer count means tracing a 10⁵-round
+//!   event buffer and an injectable [`Clock`]. The cap plus an `events_dropped` footer count means tracing a 10⁵-round
 //!   workload degrades instead of OOMing.
 //! - [`SpanSink`]: an [`EventSink`] that converts evaluator events into
 //!   spans, resolving interned ids against `&Program` once per name.
@@ -22,9 +20,8 @@
 //!   presence of the allocator counter track.
 //!
 //! Tracing is strictly opt-in: no evaluator path constructs a `Tracer`
-//! unless `--trace` is given, and [`EventSink::worker_tracer`] defaults
-//! to `None`, so the zero-cost-when-off property from the `EventSink`
-//! layer extends to every hook point added here.
+//! unless `--trace` is given, so the zero-cost-when-off property from
+//! the `EventSink` layer extends to every hook point added here.
 
 use crate::alloc;
 use crate::eval::Strategy;
@@ -42,8 +39,7 @@ pub const TRACE_SCHEMA: &str = "maglog-trace-v1";
 /// rather than stored.
 pub const DEFAULT_EVENT_CAP: usize = 1_000_000;
 
-/// Lane 0 is the orchestrating thread; parallel worker `w` is lane
-/// `w + 1`.
+/// The evaluating thread's lane.
 pub const MAIN_LANE: u32 = 0;
 
 /// Chrome trace-event phase.
@@ -112,8 +108,7 @@ struct Inner {
 }
 
 /// Thread-safe handle over the bounded trace buffer. Clones share the
-/// same buffer and clock, so the parallel orchestrator can hand one to
-/// each worker lane.
+/// same buffer and clock.
 #[derive(Clone)]
 pub struct Tracer {
     inner: Arc<Inner>,
@@ -179,8 +174,7 @@ impl Tracer {
         NameRef::Interned(id)
     }
 
-    /// Append an event at an explicit timestamp (used for spans measured
-    /// on worker threads and reported retroactively at the barrier).
+    /// Append an event at an explicit timestamp.
     pub fn push_at(
         &self,
         ts: u64,
@@ -229,35 +223,6 @@ impl Tracer {
     /// Record a counter sample on `lane` at the current clock reading.
     pub fn counter(&self, lane: u32, name: NameRef, args: Vec<(&'static str, u64)>) {
         self.push_at(self.now(), lane, Ph::Counter, "counter", name, args);
-    }
-
-    /// Record worker `w`'s round on its own lane: a `fire` span over
-    /// `[fire_start, fire_end]` and a `barrier-wait` span from its last
-    /// firing to `barrier_done` (when the orchestrator had collected
-    /// every shard). Called by the parallel orchestrator in worker order
-    /// so parallel traces are push-order deterministic.
-    pub fn worker_round_spans(&self, worker: usize, fire: (u64, u64), barrier_done: u64) {
-        let lane = worker as u32 + 1;
-        let (start, end) = fire;
-        self.push_at(start, lane, Ph::Begin, "worker", NameRef::Static("fire"), Vec::new());
-        self.push_at(end, lane, Ph::End, "worker", NameRef::Static("fire"), Vec::new());
-        let wait_end = barrier_done.max(end);
-        self.push_at(
-            end,
-            lane,
-            Ph::Begin,
-            "worker",
-            NameRef::Static("barrier-wait"),
-            Vec::new(),
-        );
-        self.push_at(
-            wait_end,
-            lane,
-            Ph::End,
-            "worker",
-            NameRef::Static("barrier-wait"),
-            Vec::new(),
-        );
     }
 
     /// Number of events currently buffered.
@@ -339,7 +304,7 @@ impl Tracer {
             let label = if lane == MAIN_LANE {
                 "main".to_string()
             } else {
-                format!("worker {}", lane - 1)
+                format!("lane {lane}")
             };
             out.push_str(&format!(
                 ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{lane},\"args\":{{\"name\":\"{}\"}}}}",
@@ -495,11 +460,6 @@ impl EventSink for SpanSink<'_> {
         self.tracer.end(MAIN_LANE, "rule", name);
     }
 
-    // Worker-side tallies replayed at the parallel barrier: the real
-    // spans already live on the worker lanes, so don't synthesize
-    // `count` zero-width main-lane spans.
-    fn rule_firings(&mut self, _rule: usize, _count: u64) {}
-
     fn round_end(&mut self, _round: usize, derivations: usize, changed: usize) {
         self.tracer
             .end(MAIN_LANE, "round", NameRef::Static("round"));
@@ -522,10 +482,6 @@ impl EventSink for SpanSink<'_> {
         if let Some(name) = self.open_components.pop() {
             self.tracer.end(MAIN_LANE, "component", name);
         }
-    }
-
-    fn worker_tracer(&self) -> Option<Tracer> {
-        Some(self.tracer.clone())
     }
 }
 
@@ -655,8 +611,8 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
 /// line per distinct span path with its summed *self* time in
 /// nanoseconds, `lane;span;span… <ns>` — the text format flame-graph
 /// tools (inferno, speedscope) load directly. Lanes become root frames
-/// (`main`, `worker 0`, …) so a multi-worker trace folds into one graph
-/// without timestamp collisions. Counter and meta events carry no
+/// (`main`, …) so a multi-lane trace folds into one graph without
+/// timestamp collisions. Counter and meta events carry no
 /// duration and are skipped.
 ///
 /// The document is checked with [`validate_chrome_trace`] first, so
@@ -768,24 +724,6 @@ mod tests {
         assert_eq!(check.heap_samples, 1);
     }
 
-    #[test]
-    fn worker_spans_get_their_own_named_lane() {
-        let t = manual_tracer(1);
-        t.counter(
-            MAIN_LANE,
-            NameRef::Static("heap"),
-            vec![("live", 0), ("peak", 0)],
-        );
-        t.worker_round_spans(0, (10, 14), 20);
-        t.worker_round_spans(1, (10, 20), 20);
-        let json = t.render_chrome_json("unit");
-        let check = validate_chrome_trace(&json).expect("valid trace");
-        assert_eq!(check.lanes, 3);
-        assert!(json.contains("\"worker 0\""));
-        assert!(json.contains("\"worker 1\""));
-        assert!(json.contains("\"barrier-wait\""));
-    }
-
     /// A hand-crafted document: one named `main` lane plus the given
     /// event objects (the renderer itself can no longer produce
     /// malformed traces, so the rejection paths get raw JSON).
@@ -851,11 +789,11 @@ mod tests {
         t.push_at(400, MAIN_LANE, Ph::Begin, "round", NameRef::Static("round"), Vec::new());
         t.push_at(900, MAIN_LANE, Ph::End, "round", NameRef::Static("round"), Vec::new());
         t.push_at(1000, MAIN_LANE, Ph::End, "phase", NameRef::Static("eval"), Vec::new());
-        // Worker lane with a `;` in an interned name: substituted, not
+        // A second lane with a `;` in an interned name: substituted, not
         // allowed to split the frame path.
-        let merge = t.intern("merge;shard");
-        t.push_at(200, 1, Ph::Begin, "worker", merge, Vec::new());
-        t.push_at(500, 1, Ph::End, "worker", merge, Vec::new());
+        let load = t.intern("load;parse");
+        t.push_at(200, 1, Ph::Begin, "phase", load, Vec::new());
+        t.push_at(500, 1, Ph::End, "phase", load, Vec::new());
 
         let json = t.render_chrome_json("p");
         let collapsed = render_collapsed_stacks(&json).unwrap();
@@ -863,9 +801,9 @@ mod tests {
         // round spans sum into one line.
         assert_eq!(
             collapsed,
-            "main;eval 200\n\
-             main;eval;round 800\n\
-             worker 0;merge,shard 300\n",
+            "lane 1;load,parse 300\n\
+             main;eval 200\n\
+             main;eval;round 800\n",
         );
     }
 

@@ -1,10 +1,9 @@
-//! Histogram lattice-law property tests (the `merge_laws` discipline
-//! applied to the metrics layer) and end-to-end `HistogramSink` runs,
-//! sequential and parallel, through the OpenMetrics round trip.
+//! Histogram merge-law property tests and end-to-end `HistogramSink`
+//! runs through the OpenMetrics round trip.
 
 use maglog_engine::{
-    parse_openmetrics, Edb, EvalOptions, EventSink, Fanout, Histogram, HistogramSink, ManualClock,
-    Meter, MetricsSink, MonotonicEngine, NoopSink, Registry, Strategy,
+    parse_openmetrics, Edb, Fanout, Histogram, HistogramSink, ManualClock, Meter, MetricsSink,
+    MonotonicEngine, Registry, Strategy,
 };
 use std::sync::Arc;
 
@@ -77,7 +76,7 @@ fn empty_histogram_is_a_two_sided_identity() {
 
 #[test]
 fn merge_counts_are_deliberately_not_idempotent() {
-    // Like the engine's counting aggregate folds: merging a shard with
+    // Like the engine's counting aggregate folds: merging a histogram with
     // itself double-counts. Only a fresh histogram is safe to fold twice.
     let a = hist_of(&values(99, 64));
     let mut doubled = a.clone();
@@ -138,7 +137,9 @@ fn saturates_at_u64_max_instead_of_wrapping() {
 fn sequential_run_records_all_core_families() {
     let p = maglog_datalog::parse_program(TC).unwrap();
     let meter = Meter::with_clock(Arc::new(ManualClock::with_step(1)));
-    let mut sink = HistogramSink::with_meter(&p, &[("strategy", "seminaive")], meter);
+    let registry = Registry::new();
+    let mut sink = HistogramSink::with_meter(&p, &[("strategy", "seminaive")], meter)
+        .publish_to(registry.clone());
     MonotonicEngine::new(&p)
         .evaluate_with_sink(&Edb::new(), &mut sink)
         .unwrap();
@@ -155,49 +156,12 @@ fn sequential_run_records_all_core_families() {
     ] {
         assert!(text.contains(family), "missing {family} in:\n{text}");
     }
-    // Sequential: no parallel families.
-    assert!(!text.contains("maglog_barrier_wait_seconds"), "{text}");
-    assert!(!text.contains("maglog_worker_fire_duration_seconds"), "{text}");
     // Base label and the rule-head label are stamped.
     assert!(text.contains("strategy=\"seminaive\""), "{text}");
     assert!(text.contains("head=\"tc\""), "{text}");
     // The exposition round-trips through the bundled parser exactly.
     let exp = parse_openmetrics(&text).expect(&text);
     assert_eq!(exp.all_samples(), set.samples());
-}
-
-#[test]
-fn parallel_run_merges_worker_local_histograms_at_the_barrier() {
-    let p = maglog_datalog::parse_program(TC).unwrap();
-    // One shared ManualClock: atomic, so worker reads interleave safely
-    // and every bracketed interval is a deterministic multiple of the
-    // step.
-    let meter = Meter::with_clock(Arc::new(ManualClock::with_step(1)));
-    let registry = Registry::new();
-    let mut sink = HistogramSink::with_meter(&p, &[("strategy", "seminaive")], meter)
-        .publish_to(registry.clone());
-    MonotonicEngine::with_options(
-        &p,
-        EvalOptions {
-            workers: 2,
-            ..Default::default()
-        },
-    )
-    .evaluate_with_sink(&Edb::new(), &mut sink)
-    .unwrap();
-    let set = sink.finish();
-    let text = set.render_openmetrics();
-    // Worker-labeled series for both workers, plus the orchestrator's
-    // straggler-wait series.
-    assert!(text.contains("worker=\"0\""), "{text}");
-    assert!(text.contains("worker=\"1\""), "{text}");
-    assert!(text.contains("maglog_barrier_wait_seconds"), "{text}");
-    assert!(text.contains("maglog_worker_fire_duration_seconds"), "{text}");
-    assert!(text.contains("maglog_barrier_merges_total") || !text.contains("merges"));
-    // Rule latencies arrived through the barrier merge: the recursive
-    // rule fired on some worker and its histogram is non-empty.
-    assert!(text.contains("maglog_rule_fire_duration_seconds"), "{text}");
-    parse_openmetrics(&text).expect(&text);
     // The registry holds the published snapshot: same families live.
     let live = registry.render();
     assert!(live.contains("maglog_round_duration_seconds"), "{live}");
@@ -205,7 +169,7 @@ fn parallel_run_merges_worker_local_histograms_at_the_barrier() {
 }
 
 #[test]
-fn fanout_resolves_the_meter_and_both_sinks_see_events() {
+fn fanout_delivers_every_event_to_both_sinks() {
     let p = maglog_datalog::parse_program(TC).unwrap();
     let meter = Meter::with_clock(Arc::new(ManualClock::with_step(1)));
     let hist = HistogramSink::with_meter(&p, &[], meter);
@@ -215,9 +179,6 @@ fn fanout_resolves_the_meter_and_both_sinks_see_events() {
         Box::new(ManualClock::with_step(1)),
     );
     let mut sink = Fanout(metrics, hist);
-    // The fanout finds the meter on its second arm.
-    assert!(sink.worker_meter().is_some());
-    assert!(Fanout(NoopSink, NoopSink).worker_meter().is_none());
     MonotonicEngine::new(&p)
         .evaluate_with_sink(&Edb::new(), &mut sink)
         .unwrap();

@@ -1,7 +1,6 @@
 //! Golden tests for the span-trace subsystem: the full Chrome trace-event
-//! rendering is pinned for Example 3.1's shortest-path instance, both
-//! sequential and under `--parallel=2`, using a `ManualClock` so every
-//! timestamp is deterministic.
+//! rendering is pinned for Example 3.1's shortest-path instance, using a
+//! `ManualClock` so every timestamp is deterministic.
 //!
 //! This test binary deliberately does *not* install the counting
 //! allocator: `alloc::current_bytes()`/`peak_bytes()` then read 0, so the
@@ -16,9 +15,7 @@
 //! and review the diff.
 
 use maglog_datalog::parse_program;
-use maglog_engine::{
-    validate_chrome_trace, Edb, EvalOptions, ManualClock, MonotonicEngine, SpanSink, Tracer,
-};
+use maglog_engine::{validate_chrome_trace, Edb, ManualClock, MonotonicEngine, SpanSink, Tracer};
 use std::path::Path;
 
 /// Example 3.1's shortest-path instance: arcs a→b (1) and b→b (0).
@@ -34,18 +31,10 @@ const SHORTEST_PATH: &str = r#"
 "#;
 
 /// Evaluate shortest-path under a manual clock, returning the rendered
-/// trace. `step == 0` for the parallel run: every reading is 0 no matter
-/// how worker threads interleave their clock reads, so the document is
-/// byte-deterministic; event order is the orchestrator's push order.
-fn traced_eval(workers: usize, step: u64) -> String {
+/// trace.
+fn traced_eval(step: u64) -> String {
     let program = parse_program(SHORTEST_PATH).unwrap();
-    let engine = MonotonicEngine::with_options(
-        &program,
-        EvalOptions {
-            workers,
-            ..Default::default()
-        },
-    );
+    let engine = MonotonicEngine::new(&program);
     let tracer = Tracer::with_clock(Box::new(ManualClock::with_step(step)));
     let mut sink = SpanSink::new(&program, tracer);
     engine.evaluate_with_sink(&Edb::new(), &mut sink).unwrap();
@@ -78,7 +67,7 @@ fn assert_golden(name: &str, actual: &str) {
 
 #[test]
 fn sequential_trace_is_golden_and_valid() {
-    let json = traced_eval(1, 1);
+    let json = traced_eval(1);
     let check = validate_chrome_trace(&json).expect("sequential trace validates");
     assert_eq!(check.lanes, 1, "sequential run uses only the main lane");
     assert!(check.heap_samples > 0);
@@ -87,39 +76,14 @@ fn sequential_trace_is_golden_and_valid() {
 }
 
 #[test]
-fn parallel_trace_is_golden_and_valid() {
-    let json = traced_eval(2, 0);
-    let check = validate_chrome_trace(&json).expect("parallel trace validates");
-    assert_eq!(check.lanes, 3, "main lane plus one lane per worker");
-    assert!(json.contains("\"worker 0\""));
-    assert!(json.contains("\"worker 1\""));
-    assert!(json.contains("\"barrier-wait\""));
-    assert!(json.contains("\"merge\""));
-    assert_golden("trace_par2.json", &json);
-}
-
-#[test]
 fn tracing_does_not_perturb_the_model() {
     // The A/B guarantee at the engine level: evaluating with a span sink
-    // attached produces exactly the model an untraced run produces, both
-    // sequentially and in parallel.
+    // attached produces exactly the model an untraced run produces.
     let program = parse_program(SHORTEST_PATH).unwrap();
-    let plain = MonotonicEngine::new(&program).evaluate(&Edb::new()).unwrap();
-    for workers in [0usize, 2] {
-        let engine = MonotonicEngine::with_options(
-            &program,
-            EvalOptions {
-                workers,
-                ..Default::default()
-            },
-        );
-        let tracer = Tracer::with_clock(Box::new(ManualClock::with_step(1)));
-        let mut sink = SpanSink::new(&program, tracer);
-        let traced = engine.evaluate_with_sink(&Edb::new(), &mut sink).unwrap();
-        assert_eq!(
-            traced.render(&program),
-            plain.render(&program),
-            "workers={workers}"
-        );
-    }
+    let engine = MonotonicEngine::new(&program);
+    let plain = engine.evaluate(&Edb::new()).unwrap();
+    let tracer = Tracer::with_clock(Box::new(ManualClock::with_step(1)));
+    let mut sink = SpanSink::new(&program, tracer);
+    let traced = engine.evaluate_with_sink(&Edb::new(), &mut sink).unwrap();
+    assert_eq!(traced.render(&program), plain.render(&program));
 }

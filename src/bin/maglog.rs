@@ -35,7 +35,6 @@
 //! ```text
 //! --format=human|json          human trace+report, or maglog-profile-v1 JSON
 //! --strategy=naive|seminaive|greedy   profile one strategy (default: all three)
-//! --parallel[=N]               evaluate with N workers (bare: every core)
 //! --trace <FILE>               span timeline as Chrome trace JSON (docs/tracing.md)
 //! --metrics <FILE>             latency/size histograms as OpenMetrics 1.0 text
 //! --listen <ADDR>              serve live GET /metrics during (and after) the run
@@ -54,13 +53,11 @@
 //! <pred>` (dump derivations + aggregate witnesses of every tuple of
 //! `pred`), `--max-rounds <N>` (per-component fixpoint cap),
 //! `--optimize[=prem,demand]` (opt-in proven rewrites; decisions are
-//! reported on stderr), `--parallel[=N]` (shard rounds across N workers;
-//! bare `--parallel` uses every core; the model is identical either way),
-//! `--query '<fact>'` (answer one ground point query; with
+//! reported on stderr), `--query '<fact>'` (answer one ground point query; with
 //! `--optimize=demand` only the goal's derivation cone is computed),
 //! `--trace <FILE>` (write a `maglog-trace-v1` span timeline — phases,
-//! components, rounds, rule firings, worker lanes — loadable in Perfetto),
-//! `--metrics <FILE>` (write per-rule/round/worker latency histograms as
+//! components, rounds, rule firings — loadable in Perfetto),
+//! `--metrics <FILE>` (write per-rule/round latency histograms as
 //! OpenMetrics 1.0 text; see docs/metrics.md).
 //!
 //! `bench` options:
@@ -74,7 +71,6 @@
 //! --out FILE            also write the v2 document to FILE
 //! --baseline FILE       gate medians against a v1/v2 baseline document
 //! --gate RATIO          regression threshold (default 1.25; needs --baseline)
-//! --parallel[=N]        N-worker evaluation plus a 1,2,4,...,N scaling curve
 //! --trace FILE          trace the per-cell instrumented runs (timed samples
 //!                       stay untraced, so medians are unperturbed)
 //! --metrics FILE        OpenMetrics histograms from the instrumented runs
@@ -95,7 +91,7 @@ use maglog::bench::v2;
 use maglog::datalog::{graph::components, parse_program, Program};
 use maglog::engine::trace::{NameRef, MAIN_LANE};
 use maglog::engine::{
-    alloc, available_workers, diff_documents, explain_tree, fmt_bytes, parse_document,
+    alloc, diff_documents, explain_tree, fmt_bytes, parse_document,
     parse_goal, parse_openmetrics, render_collapsed_stacks, render_explain_dot,
     render_explain_human, render_explain_json, render_profile_json, render_why_not_human,
     render_why_not_json, validate_chrome_trace, why_not, Document, Edb, EvalOptions, Fanout,
@@ -115,14 +111,13 @@ usage: maglog <check|run|profile|bench|diff|compare|explain> [args]
   check   [--format=human|json] [--deny <CODE|all|warnings>] [--allow <CODE>] <program.mgl>
   check   --explain <CODE>
   run     [--stats] [--explain <pred>] [--max-rounds <N>] [--optimize[=prem,demand]]
-          [--parallel[=N]] [--query '<fact>'] [--trace <FILE>] [--metrics <FILE>]
-          <program.mgl> [pred...]
+          [--query '<fact>'] [--trace <FILE>] [--metrics <FILE>] <program.mgl> [pred...]
   profile [--format=human|json] [--strategy=naive|seminaive|greedy]
-          [--optimize[=prem,demand]] [--parallel[=N]] [--trace <FILE>]
-          [--metrics <FILE>] [--listen <ADDR>] <program.mgl>
+          [--optimize[=prem,demand]] [--trace <FILE>] [--metrics <FILE>]
+          [--listen <ADDR>] <program.mgl>
   bench   [--samples <N>] [--warmup <N>] [--workloads <a,b>] [--sizes <n,m>]
           [--format=human|json] [--out <FILE>] [--baseline <FILE>] [--gate <RATIO>]
-          [--optimize[=prem,demand]] [--parallel[=N]] [--trace <FILE>] [--metrics <FILE>]
+          [--optimize[=prem,demand]] [--trace <FILE>] [--metrics <FILE>]
   diff    [--format=human|json] [--gate <RATIO>] <before> <after>
   compare <program.mgl>
   explain <program.mgl>
@@ -176,25 +171,19 @@ derivations dominated under a premappable aggregate, demand restricts a
 --query point goal to its derivation cone. Both are gated on their static
 proofs and never change the computed model.
 
---parallel[=N] shards each fixpoint round across N workers (bare
---parallel uses every core; see docs/parallelism.md). The computed model
-and every counter are identical at any worker count. On bench, --parallel=N
-additionally measures a 1, 2, 4, ... N scaling curve per workload.
-
 --trace <FILE> records a span timeline — phases, components, rounds, rule
-firings, and (under --parallel) per-worker fire/barrier-wait/merge lanes,
-plus heap and delta counter tracks — as Chrome trace-event JSON
+firings, plus heap and delta counter tracks — as Chrome trace-event JSON
 (maglog-trace-v1), loadable in Perfetto or chrome://tracing; see
 docs/tracing.md. trace-validate checks such a document structurally
 (balanced spans per lane, monotone timestamps, named lanes).
 
 --metrics <FILE> records log-linear latency/size histograms (per-rule
-firing latency, round duration, barrier wait, merged-buffer sizes, heap)
-plus work counters, and writes them as OpenMetrics 1.0 text — even when
+firing latency, round duration, round-buffer sizes, heap) plus work
+counters, and writes them as OpenMetrics 1.0 text — even when
 evaluation fails, so aborted runs can be diagnosed; see docs/metrics.md.
 profile additionally summarizes the histograms as p50/p90/p99/max blocks,
 and profile --listen <ADDR> serves live GET /metrics snapshots (updated at
-round barriers) while the evaluation runs, then keeps serving the final
+round boundaries) while the evaluation runs, then keeps serving the final
 snapshot until interrupted. ADDR is host:port; port 0 picks a free port
 (the bound address is printed on stderr). metrics-validate checks an
 exposition against the bundled OpenMetrics parser and exits 1 on any
@@ -277,26 +266,6 @@ fn parse_check_opts(args: &[String]) -> Result<(CheckOpts, Vec<String>), ArgErro
 
 fn parse_code(s: &str) -> Result<Code, ArgError> {
     Code::parse(s).ok_or_else(|| ArgError::Usage(format!("unknown lint code '{s}'")))
-}
-
-/// Parse `--parallel`'s inline value. A bare `--parallel` (no value)
-/// uses every available core; like `--optimize`, the flag never consumes
-/// the next argument. `--parallel=1` is the sequential evaluator.
-fn parse_parallel(inline_value: Option<&str>) -> Result<usize, ArgError> {
-    match inline_value {
-        None => Ok(available_workers()),
-        Some(v) if v.trim().is_empty() => Ok(available_workers()),
-        Some(v) => v
-            .trim()
-            .parse()
-            .ok()
-            .filter(|&n: &usize| n >= 1)
-            .ok_or_else(|| {
-                ArgError::Usage(format!(
-                    "--parallel wants a positive worker count, got '{v}'"
-                ))
-            }),
-    }
 }
 
 /// Validate an output-file destination (`--trace`, `--metrics`) up
@@ -412,8 +381,6 @@ fn main() -> ExitCode {
             workloads: opts.workloads.clone(),
             sizes: opts.sizes.clone(),
             optimize: opts.optimize,
-            workers: opts.parallel,
-            scaling: v2::scaling_curve(opts.parallel),
             trace: opts.trace.as_ref().map(|_| Tracer::new()),
             metrics: opts.metrics.as_ref().map(|_| Registry::new()),
         };
@@ -495,8 +462,6 @@ struct ProfileOpts {
     /// `None` profiles all three strategies.
     strategy: Option<Strategy>,
     optimize: Optimize,
-    /// Worker count for the parallel evaluator (1 = sequential).
-    parallel: usize,
     /// Write a `maglog-trace-v1` span timeline here.
     trace: Option<String>,
     /// Write an OpenMetrics 1.0 exposition here.
@@ -510,7 +475,6 @@ fn parse_profile_opts(args: &[String]) -> Result<(ProfileOpts, Vec<String>), Arg
         format: Format::Human,
         strategy: None,
         optimize: Optimize::default(),
-        parallel: 1,
         trace: None,
         metrics: None,
         listen: None,
@@ -545,7 +509,6 @@ fn parse_profile_opts(args: &[String]) -> Result<(ProfileOpts, Vec<String>), Arg
                 })?);
             }
             "--optimize" => opts.optimize = parse_optimize(inline_value.as_deref())?,
-            "--parallel" => opts.parallel = parse_parallel(inline_value.as_deref())?,
             "--trace" => {
                 let v = value("--trace")?;
                 check_out_path("--trace", &v)?;
@@ -582,9 +545,6 @@ struct BenchOpts {
     baseline: Option<String>,
     gate: f64,
     optimize: Optimize,
-    /// Worker count for the parallel evaluator (1 = sequential). Values
-    /// above 1 also measure the scaling curve 1, 2, 4, … up to this count.
-    parallel: usize,
     /// Write a `maglog-trace-v1` span timeline of the instrumented runs.
     trace: Option<String>,
     /// Write an OpenMetrics exposition of the instrumented runs.
@@ -602,7 +562,6 @@ fn parse_bench_opts(args: &[String]) -> Result<BenchOpts, ArgError> {
         baseline: None,
         gate: 1.25,
         optimize: Optimize::default(),
-        parallel: 1,
         trace: None,
         metrics: None,
     };
@@ -677,7 +636,6 @@ fn parse_bench_opts(args: &[String]) -> Result<BenchOpts, ArgError> {
             "--out" => opts.out = Some(value("--out")?),
             "--baseline" => opts.baseline = Some(value("--baseline")?),
             "--optimize" => opts.optimize = parse_optimize(inline_value.as_deref())?,
-            "--parallel" => opts.parallel = parse_parallel(inline_value.as_deref())?,
             "--trace" => {
                 let v = value("--trace")?;
                 check_out_path("--trace", &v)?;
@@ -763,8 +721,6 @@ struct RunOpts {
     optimize: Optimize,
     /// Answer one ground point query (`--query 's(a, b)'`).
     query: Option<String>,
-    /// Worker count for the parallel evaluator (1 = sequential).
-    parallel: usize,
     /// Write a `maglog-trace-v1` span timeline here.
     trace: Option<String>,
     /// Write an OpenMetrics 1.0 exposition here.
@@ -778,7 +734,6 @@ fn parse_run_opts(args: &[String]) -> Result<(RunOpts, Vec<String>), ArgError> {
         max_rounds: None,
         optimize: Optimize::default(),
         query: None,
-        parallel: 1,
         trace: None,
         metrics: None,
     };
@@ -805,7 +760,6 @@ fn parse_run_opts(args: &[String]) -> Result<(RunOpts, Vec<String>), ArgError> {
                 })?);
             }
             "--optimize" => opts.optimize = parse_optimize(inline_value.as_deref())?,
-            "--parallel" => opts.parallel = parse_parallel(inline_value.as_deref())?,
             "--query" => opts.query = Some(value("--query")?),
             "--trace" => {
                 let v = value("--trace")?;
@@ -1039,7 +993,6 @@ fn cmd_run(path: &str, preds: &[String], opts: &RunOpts) -> Result<(), String> {
         eval_options.max_rounds = max_rounds;
     }
     eval_options.optimize = opts.optimize;
-    eval_options.workers = opts.parallel;
     let goal = opts
         .query
         .as_deref()
@@ -1269,7 +1222,7 @@ fn cmd_profile(path: &str, opts: &ProfileOpts) -> Result<(), String> {
     }
     // `--metrics`/`--listen` both want histogram recording; `--listen`
     // additionally binds the live endpoint before any evaluation runs,
-    // so scrapes during the fixpoint see round-barrier snapshots.
+    // so scrapes during the fixpoint see round-boundary snapshots.
     let want_hist = opts.metrics.is_some() || opts.listen.is_some();
     let registry = opts.listen.as_ref().map(|_| Registry::new());
     let server = match (&opts.listen, &registry) {
@@ -1293,7 +1246,6 @@ fn cmd_profile(path: &str, opts: &ProfileOpts) -> Result<(), String> {
             EvalOptions {
                 strategy,
                 optimize: opts.optimize,
-                workers: opts.parallel,
                 ..Default::default()
             },
         );
@@ -1319,9 +1271,6 @@ fn cmd_profile(path: &str, opts: &ProfileOpts) -> Result<(), String> {
                 hist,
             ),
         );
-        // Scope the allocator peak to this strategy's evaluation, so each
-        // report's alloc_peak_bytes is a per-strategy high-water mark.
-        alloc::reset_peak();
         let eval_result = engine
             .evaluate_with_sink(&Edb::new(), &mut sink)
             .map_err(|e| format!("[{}] {e}", strategy.name()));

@@ -593,116 +593,6 @@ fn run_optimize_prunes_and_preserves_the_model() {
 }
 
 #[test]
-fn run_parallel_matches_sequential_bit_for_bit() {
-    let plain = maglog(&["run", "programs/shortest_path.mgl"]);
-    assert!(plain.status.success(), "{}", stderr(&plain));
-    for flag in ["--parallel=2", "--parallel=4"] {
-        let par = maglog(&["run", flag, "programs/shortest_path.mgl"]);
-        assert!(par.status.success(), "{flag}: {}", stderr(&par));
-        // Same model on stdout AND the same atoms/rounds/firings summary:
-        // sharding partitions the sequential work, it never changes it.
-        assert_eq!(stdout(&plain), stdout(&par), "{flag}");
-        assert_eq!(stderr(&plain), stderr(&par), "{flag}");
-    }
-
-    // Bare --parallel resolves to the machine and must not eat the operand.
-    let par = maglog(&["run", "--parallel", "programs/shortest_path.mgl"]);
-    assert!(par.status.success(), "{}", stderr(&par));
-    assert_eq!(stdout(&plain), stdout(&par));
-
-    // Composed with the optimizing rewrites the model still matches.
-    let opt = maglog(&["run", "--optimize=prem", "programs/shortest_path.mgl"]);
-    let both = maglog(&[
-        "run",
-        "--optimize=prem",
-        "--parallel=2",
-        "programs/shortest_path.mgl",
-    ]);
-    assert!(both.status.success(), "{}", stderr(&both));
-    assert_eq!(stdout(&opt), stdout(&both));
-
-    // Zero or non-numeric worker counts are usage errors.
-    for bad in ["--parallel=0", "--parallel=many"] {
-        let out = maglog(&["run", bad, "programs/shortest_path.mgl"]);
-        assert_eq!(out.status.code(), Some(2), "{bad}: {}", stderr(&out));
-        assert!(stderr(&out).contains("usage"), "{bad}: {}", stderr(&out));
-    }
-
-    // check/compare do not grow the flag.
-    for cmd in ["check", "compare"] {
-        let out = maglog(&[cmd, "--parallel=2", "programs/shortest_path.mgl"]);
-        assert_eq!(out.status.code(), Some(2), "{cmd}: {}", stderr(&out));
-    }
-}
-
-#[test]
-fn profile_parallel_reports_shard_telemetry() {
-    let out = maglog(&[
-        "profile",
-        "--strategy=seminaive",
-        "--parallel=2",
-        "programs/shortest_path.mgl",
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("parallel: 2 worker(s)"), "{text}");
-    assert!(text.contains("shard firings"), "{text}");
-
-    let out = maglog(&[
-        "profile",
-        "--strategy=seminaive",
-        "--parallel=2",
-        "--format=json",
-        "programs/shortest_path.mgl",
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("\"parallel\""), "{text}");
-    assert!(text.contains("\"shard_firings\""), "{text}");
-    assert!(text.contains("\"barrier_wait_nanos\""), "{text}");
-    assert_eq!(text.matches('{').count(), text.matches('}').count(), "{text}");
-
-    // Sequential profiles stay free of the block.
-    let out = maglog(&[
-        "profile",
-        "--strategy=seminaive",
-        "--format=json",
-        "programs/shortest_path.mgl",
-    ]);
-    assert!(!stdout(&out).contains("\"parallel\""), "{}", stdout(&out));
-}
-
-#[test]
-fn bench_parallel_emits_the_scaling_section() {
-    let cell = &[
-        "--samples",
-        "1",
-        "--warmup",
-        "0",
-        "--workloads",
-        "shortest_path",
-        "--sizes",
-        "16",
-        "--parallel=2",
-    ][..];
-    let out = maglog(&[&["bench"], cell].concat());
-    assert!(out.status.success(), "{}", stderr(&out));
-    let text = stdout(&out);
-    assert!(text.contains("workers 2"), "{text}");
-    assert!(text.contains("scaling"), "{text}");
-    assert!(text.contains("1w "), "{text}");
-    assert!(text.contains("2w "), "{text}");
-
-    let out = maglog(&[&["bench", "--format=json"], cell].concat());
-    assert!(out.status.success(), "{}", stderr(&out));
-    let doc = stdout(&out);
-    assert!(doc.contains("\"workers\": 2"), "{doc}");
-    assert!(doc.contains("\"scaling\""), "{doc}");
-    assert!(doc.contains("\"speedup\""), "{doc}");
-    assert_eq!(doc.matches('{').count(), doc.matches('}').count(), "{doc}");
-}
-
-#[test]
 fn run_query_answers_a_point_goal() {
     let out = maglog(&["run", "--query", "s(a, b)", "programs/shortest_path.mgl"]);
     assert!(out.status.success(), "{}", stderr(&out));
@@ -761,9 +651,7 @@ fn trace_tmp(name: &str) -> PathBuf {
 fn run_trace_writes_a_valid_timeline() {
     for (flags, file) in [
         (&[][..], "run_seq.json"),
-        (&["--parallel=2"][..], "run_par2.json"),
-        (&["--parallel=4"][..], "run_par4.json"),
-        (&["--parallel=2", "--optimize=prem"][..], "run_par_opt.json"),
+        (&["--optimize=prem"][..], "run_opt.json"),
     ] {
         let path = trace_tmp(file);
         let args = [
@@ -785,13 +673,6 @@ fn run_trace_writes_a_valid_timeline() {
         let doc = std::fs::read_to_string(&path).unwrap();
         assert!(doc.contains("\"maglog-trace-v1\""), "{file}");
         assert!(doc.contains("\"heap\""), "{file}");
-        if !flags.is_empty() && flags[0].starts_with("--parallel") {
-            // One named lane per worker, with the barrier/merge spans the
-            // parallel orchestrator records.
-            assert!(doc.contains("\"worker 1\""), "{file}");
-            assert!(doc.contains("\"barrier-wait\""), "{file}");
-            assert!(doc.contains("\"merge\""), "{file}");
-        }
     }
 }
 
@@ -885,7 +766,6 @@ fn profile_trace_reports_widest_spans() {
     let out = maglog(&[
         "profile",
         "--strategy=seminaive",
-        "--parallel=2",
         "--trace",
         path.to_str().unwrap(),
         "programs/shortest_path.mgl",
@@ -894,7 +774,6 @@ fn profile_trace_reports_widest_spans() {
     let text = stdout(&out);
     assert!(text.contains("widest spans:"), "{text}");
     assert!(text.contains("eval[seminaive]"), "{text}");
-    assert!(text.contains("shard imbalance: max/mean"), "{text}");
     let check = maglog(&["trace-validate", path.to_str().unwrap()]);
     assert!(check.status.success(), "{}", stderr(&check));
 
@@ -938,39 +817,27 @@ fn bench_trace_covers_the_run() {
 
 #[test]
 fn run_metrics_writes_a_valid_exposition_and_stays_invisible() {
-    // The exposition validates through the bundled parser, for sequential
-    // and parallel runs alike.
-    for (flags, file) in [
-        (&[][..], "run_metrics_seq.prom"),
-        (&["--parallel=2"][..], "run_metrics_par.prom"),
-    ] {
-        let path = trace_tmp(file);
-        let args = [
-            &["run", "--metrics", path.to_str().unwrap()],
-            flags,
-            &["programs/shortest_path.mgl"],
-        ]
-        .concat();
-        let out = maglog(&args);
-        assert!(out.status.success(), "{flags:?}: {}", stderr(&out));
-        assert!(stderr(&out).contains("-- metrics: wrote"), "{}", stderr(&out));
-        let check = maglog(&["metrics-validate", path.to_str().unwrap()]);
-        assert!(check.status.success(), "{flags:?}: {}", stderr(&check));
-        assert!(
-            stdout(&check).contains("valid OpenMetrics 1.0"),
-            "{}",
-            stdout(&check)
-        );
-        let doc = std::fs::read_to_string(&path).unwrap();
-        assert!(doc.contains("maglog_round_duration_seconds"), "{file}");
-        assert!(doc.contains("strategy=\"seminaive\""), "{file}");
-        assert!(doc.trim_end().ends_with("# EOF"), "{file}");
-        if !flags.is_empty() {
-            // Worker-labeled series merged in at the round barrier.
-            assert!(doc.contains("maglog_barrier_wait_seconds"), "{file}");
-            assert!(doc.contains("worker=\"1\""), "{file}");
-        }
-    }
+    // The exposition validates through the bundled parser.
+    let path = trace_tmp("run_metrics_seq.prom");
+    let out = maglog(&[
+        "run",
+        "--metrics",
+        path.to_str().unwrap(),
+        "programs/shortest_path.mgl",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stderr(&out).contains("-- metrics: wrote"), "{}", stderr(&out));
+    let check = maglog(&["metrics-validate", path.to_str().unwrap()]);
+    assert!(check.status.success(), "{}", stderr(&check));
+    assert!(
+        stdout(&check).contains("valid OpenMetrics 1.0"),
+        "{}",
+        stdout(&check)
+    );
+    let doc = std::fs::read_to_string(&path).unwrap();
+    assert!(doc.contains("maglog_round_duration_seconds"), "{doc}");
+    assert!(doc.contains("strategy=\"seminaive\""), "{doc}");
+    assert!(doc.trim_end().ends_with("# EOF"), "{doc}");
 
     // The recorder must be a pure observer: stdout matches exactly, and
     // stderr differs only by the "wrote the file" note.
@@ -1062,7 +929,6 @@ fn profile_metrics_reports_histogram_percentiles() {
     let path = trace_tmp("profile_metrics.prom");
     let out = maglog(&[
         "profile",
-        "--parallel=2",
         "--metrics",
         path.to_str().unwrap(),
         "programs/shortest_path.mgl",
@@ -1072,7 +938,6 @@ fn profile_metrics_reports_histogram_percentiles() {
     // Human report gains the percentile blocks for every strategy run.
     assert!(text.contains("histograms:"), "{text}");
     assert!(text.contains("maglog_round_duration_seconds"), "{text}");
-    assert!(text.contains("maglog_barrier_wait_seconds"), "{text}");
     assert!(text.contains("p50"), "{text}");
     assert!(text.contains("p99"), "{text}");
     // The merged exposition covers all three strategies and validates.
